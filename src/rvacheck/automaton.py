@@ -53,9 +53,6 @@ class Automaton:
 
         return np.asarray(self.delta, dtype=np.int64)
 
-    def step_index(self, q, letter_index):
-        return self.delta[q][letter_index]
-
     def step(self, q, letter):
         return self.delta[q][self.alphabet.letter_index(letter)]
 

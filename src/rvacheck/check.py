@@ -5,9 +5,9 @@ minimization, (1) it only accepts encoding-shaped words, (2) the initial
 state absorbs the all-zero letter, and (3) for every accessible state
 the two residual languages obtained by bumping one component of a digit
 and fixing the tails to ``b-1`` respectively ``0`` coincide.  Condition
-(3) is decided through joint minimization of the two fixed automata;
-the dimension-1 procedure replaces it with a linear-time comparison of
-output streams along the digit orbits.
+(3) is decided through joint minimization of the two fixed automata.
+The dimension-1 check is no separate procedure: it runs the general
+check of its alphabet's encoding.
 
 Checks run cheapest condition first and return a structured witness for
 the first violated one.
@@ -39,10 +39,34 @@ def _minimal_form(aut):
     return minimize_weak(trimmed, info).target
 
 
-def _bump(letter, f, is_parallel):
-    if is_parallel:
-        return letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
-    return letter + 1
+def _bump(letter, f):
+    return letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
+
+
+def _dual_tails(m, f, states):
+    """Compare the dual tails of component ``f`` at each of ``states``.
+
+    Jointly minimizes the fixings of ``f`` to ``b-1`` and to ``0``, then
+    checks, letter by letter, that each state's successor on a letter
+    and on the letter with ``f`` bumped have the same residual language
+    in the respective fixing.  Returns the equivalence table and the
+    first mismatch found, or None.
+    """
+    spec = m.alphabet
+    b = spec.base
+    hi = fix_parallel(m, f, b - 1).automaton
+    lo = fix_parallel(m, f, 0).automaton
+    table = joint_equivalence([hi, lo])
+    for letter in spec.digit_letters():
+        if letter[f] == b - 1:
+            continue
+        bumped = _bump(letter, f)
+        li = spec.letter_index(letter)
+        lj = spec.letter_index(bumped)
+        for q in states:
+            if not table.same_language(0, m.delta[q][li], 1, m.delta[q][lj]):
+                return table, PairMismatch(f, q, letter, bumped)
+    return table, None
 
 
 def check_rva_parallel(aut: Automaton) -> Verdict:
@@ -62,23 +86,10 @@ def check_rva_parallel(aut: Automaton) -> Verdict:
     if m.delta[m.initial][zero] != m.initial:
         return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
 
-    b = spec.base
     for f in range(spec.dim):
-        hi = fix_parallel(m, f, b - 1).automaton
-        lo = fix_parallel(m, f, 0).automaton
-        table = joint_equivalence([hi, lo])
-        for letter in spec.digit_letters():
-            if letter[f] == b - 1:
-                continue
-            li = spec.letter_index(letter)
-            lj = spec.letter_index(_bump(letter, f, True))
-            for q in range(m.n):
-                if not table.same_language(0, m.delta[q][li], 1, m.delta[q][lj]):
-                    return Verdict(
-                        False,
-                        PairMismatch(f, q, letter, _bump(letter, f, True)),
-                        minimized=m,
-                    )
+        _, mismatch = _dual_tails(m, f, range(m.n))
+        if mismatch is not None:
+            return Verdict(False, mismatch, minimized=m)
     return Verdict(True, minimized=m)
 
 
@@ -116,168 +127,18 @@ def check_rva_sequential(aut: Automaton) -> Verdict:
     return Verdict(True, minimized=m)
 
 
-def _cycle_canonical(seq):
-    """Booth's least-rotation algorithm; returns the canonical rotation offset."""
-    doubled = seq + seq
-    n = len(seq)
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        i = fail[j - k - 1]
-        while i != -1 and doubled[j] != doubled[k + i + 1]:
-            if doubled[j] < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if doubled[j] != doubled[k + i + 1]:
-            if doubled[j] < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
-def _stream_classes(aut, digit, interner):
-    """Equivalence classes of per-state output streams along a digit orbit.
-
-    The orbit of a state under one digit is a functional graph.  Each
-    state emits a pair: whether running the digit forever from it is
-    accepted, and whether doing so after one separator step is accepted.
-    Two states get the same class id exactly when their emitted streams
-    coincide, which (given a shape-valid automaton) captures equality of
-    the residual languages of the corresponding fixed automata.
-    """
-    n = aut.n
-    li = digit  # 1-dimensional alphabets index their digit letters by value
-    star = aut.alphabet.star_index
-    nxt = [aut.delta[q][li] for q in range(n)]
-
-    # locate the orbit cycles
-    state_color = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    on_cycle = [False] * n
-    for start in range(n):
-        if state_color[start]:
-            continue
-        path = []
-        q = start
-        while state_color[q] == 0:
-            state_color[q] = 1
-            path.append(q)
-            q = nxt[q]
-        if state_color[q] == 1:  # found a fresh cycle; q is its entry
-            idx = path.index(q)
-            for c in path[idx:]:
-                on_cycle[c] = True
-        for c in path:
-            state_color[c] = 2
-
-    # acceptance of the pure digit orbit: true iff the eventual cycle
-    # contains an accepting state
-    tail = [None] * n
-    for start in range(n):
-        if tail[start] is not None:
-            continue
-        path = []
-        q = start
-        while tail[q] is None and not on_cycle[q]:
-            path.append(q)
-            q = nxt[q]
-        if tail[q] is None:  # q on an unresolved cycle
-            cyc = [q]
-            p = nxt[q]
-            while p != q:
-                cyc.append(p)
-                p = nxt[p]
-            value = any(c in aut.accepting for c in cyc)
-            for c in cyc:
-                tail[c] = value
-        value = tail[q]
-        for c in reversed(path):
-            tail[c] = value
-
-    out = [
-        (tail[q], tail[aut.delta[q][star]]) for q in range(n)
-    ]
-
-    classes = [None] * n
-    cycle_shape = {}  # class id -> (canonical symbol tuple, phase)
-    for start in range(n):
-        if not on_cycle[start] or classes[start] is not None:
-            continue
-        cyc = [start]
-        p = nxt[start]
-        while p != start:
-            cyc.append(p)
-            p = nxt[p]
-        syms = tuple(out[c] for c in cyc)
-        rot = _cycle_canonical(syms)
-        canon = syms[rot:] + syms[:rot]
-        for pos, c in enumerate(cyc):
-            phase = (pos - rot) % len(cyc)
-            cid = interner.setdefault(("cycle", canon, phase), len(interner))
-            classes[c] = cid
-            cycle_shape[cid] = (canon, phase)
-
-    for start in range(n):
-        if classes[start] is not None:
-            continue
-        path = []
-        q = start
-        while classes[q] is None:
-            path.append(q)
-            q = nxt[q]
-        for c in reversed(path):
-            succ = classes[nxt[c]]
-            shape = cycle_shape.get(succ)
-            if shape is not None:
-                canon, phase = shape
-                back = (phase - 1) % len(canon)
-                if canon[back] == out[c]:
-                    cid = interner.setdefault(("cycle", canon, back), len(interner))
-                    classes[c] = cid
-                    cycle_shape[cid] = (canon, back)
-                    continue
-            classes[c] = interner.setdefault(("node", out[c], succ), len(interner))
-    return classes
-
-
 def check_rva_dim1(aut: Automaton) -> Verdict:
-    """Linear-time saturation check for dimension-1 automata.
+    """Saturation check for dimension-1 automata.
 
-    Avoids joint minimization: with a single free component the fixed
-    automata read one digit placeholder, so residual-language equality
-    reduces to comparing acceptance streams along the ``b-1`` and ``0``
-    digit orbits.
+    Runs the general check of the alphabet's encoding; in dimension 1
+    its joint minimization compares the two single-digit fixings.
     """
     spec = aut.alphabet
     if spec.dim != 1 or spec.fixed:
         raise ValueError("dimension-1 check needs an unfixed 1-dimensional alphabet")
-    m = _minimal_form(aut)
-    if m is None:
-        return Verdict(False, NotWeak())
-
-    shape = check_shape(m, 1, 1)
-    if not shape:
-        return Verdict(False, shape.witness, minimized=m)
-
-    zero = spec.letter_index(spec.zero_letter())
-    if m.delta[m.initial][zero] != m.initial:
-        return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
-
-    b = spec.base
-    interner = {}
-    hi_classes = _stream_classes(m, b - 1, interner)
-    lo_classes = _stream_classes(m, 0, interner)
-    letters = list(spec.digit_letters())
-    for a in range(b - 1):
-        li = spec.letter_index(letters[a])
-        lj = spec.letter_index(letters[a + 1])
-        for q in range(m.n):
-            if hi_classes[m.delta[q][li]] != lo_classes[m.delta[q][lj]]:
-                return Verdict(
-                    False, PairMismatch(0, q, letters[a], letters[a + 1]), minimized=m
-                )
-    return Verdict(True, minimized=m)
+    if spec.kind == SEQUENTIAL:
+        return check_rva_sequential(aut)
+    return check_rva_parallel(aut)
 
 
 def check_rva_complement_parallel(aut: Automaton) -> Verdict:
@@ -318,24 +179,12 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
         if m.delta[m.initial][li] not in dead:
             return Verdict(False, ComplementPrefix(letter), minimized=m)
 
+    away_from_root = [q for q in range(m.n) if q != m.initial]
     for f in range(spec.dim):
-        hi = fix_parallel(m, f, b - 1).automaton
-        lo = fix_parallel(m, f, 0).automaton
-        table = joint_equivalence([hi, lo])
-        for letter in spec.digit_letters():
-            if letter[f] == b - 1:
-                continue
-            li = spec.letter_index(letter)
-            lj = spec.letter_index(_bump(letter, f, True))
-            for q in range(m.n):
-                if q == m.initial:
-                    continue
-                if not table.same_language(0, m.delta[q][li], 1, m.delta[q][lj]):
-                    return Verdict(
-                        False,
-                        PairMismatch(f, q, letter, _bump(letter, f, True)),
-                        minimized=m,
-                    )
-        if not table.same_language(0, hi.initial, 1, lo.initial):
+        table, mismatch = _dual_tails(m, f, away_from_root)
+        if mismatch is not None:
+            return Verdict(False, mismatch, minimized=m)
+        # fixings keep the state numbering, so both roots are m.initial
+        if not table.same_language(0, m.initial, 1, m.initial):
             return Verdict(False, ComplementInitialLanguage(f), minimized=m)
     return Verdict(True, minimized=m)

@@ -250,10 +250,6 @@ def build_parser():
     p.add_argument(
         "--bound", type=int, default=None, help="cap on counterexample prefix length"
     )
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="accepted for interface compatibility; the search is deterministic",
-    )
     p.set_defaults(func=cmd_oracle)
     return parser
 

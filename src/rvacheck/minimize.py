@@ -160,14 +160,13 @@ class EquivalenceTable:
         return self.classes[i][q] == self.classes[j][p]
 
 
-def joint_equivalence(automata, fresh_initial=True) -> EquivalenceTable:
+def joint_equivalence(automata) -> EquivalenceTable:
     """Jointly minimize several automata over one alphabet.
 
-    The automata are glued into a disjoint union; with ``fresh_initial``
-    a new root state routes letter 0 to the first automaton and every
-    other letter to the last one, which keeps the union rooted.  Either
-    way two states end up in the same class exactly when their languages
-    agree.
+    The automata are glued into a disjoint union, rooted at the first
+    one's initial state.  Colors and refinement cover every state of the
+    union, reachable or not, so two states end up in the same class
+    exactly when their languages agree.
     """
     automata = list(automata)
     if not automata:
@@ -176,8 +175,6 @@ def joint_equivalence(automata, fresh_initial=True) -> EquivalenceTable:
     if any(a.alphabet != spec for a in automata):
         raise ValueError("joint minimization needs a shared alphabet")
     width = spec.num_letters
-    if fresh_initial and len(automata) > width:
-        raise ValueError("not enough letters to route the fresh initial state")
 
     offsets = []
     total = 0
@@ -191,18 +188,7 @@ def joint_equivalence(automata, fresh_initial=True) -> EquivalenceTable:
         for q in range(a.n):
             delta.append([a.delta[q][i] + off for i in range(width)])
         accepting.update(q + off for q in a.accepting)
-
-    if fresh_initial:
-        root = total
-        row = []
-        for i in range(width):
-            k = min(i, len(automata) - 1)
-            row.append(automata[k].initial + offsets[k])
-        delta.append(row)
-        union = Automaton(spec, total + 1, root, frozenset(accepting), delta)
-    else:
-        union = Automaton(spec, total, offsets[0] + automata[0].initial,
-                          frozenset(accepting), delta)
+    union = Automaton(spec, total, automata[0].initial, frozenset(accepting), delta)
 
     info = sccs(union)
     if not is_weak(union, info):

@@ -325,7 +325,8 @@ def shape_violation_word(aut: Automaton, depth_cap=None):
     word = LassoWord(
         tuple(letters[i] for i in u), tuple(letters[i] for i in v)
     )
-    assert aut.accepts_lasso(word.prefix, word.period)
+    if not aut.accepts_lasso(word.prefix, word.period):
+        raise RuntimeError("shape search produced a word the automaton rejects")
     return word
 
 

@@ -11,7 +11,13 @@ from rvacheck import (
     saturation_oracle,
     trim_accessible,
 )
-from rvacheck.oracle import expand_witness, gen_known_rva, gen_random_weak
+from rvacheck.oracle import (
+    expand_witness,
+    gen_known_rva,
+    gen_random_sequential_shaped,
+    gen_random_weak,
+    parallelize_automaton,
+)
 from rvacheck.words import lasso_to_pair, value_real
 
 
@@ -183,6 +189,18 @@ class TestDim1Check:
         aut = gen_known_rva("full-space", 2, 2)
         with pytest.raises(ValueError):
             check_rva_dim1(aut)
+
+    def test_saturated_shaped_base3_accepted(self):
+        aut = parallelize_automaton(gen_random_sequential_shaped(30, 3, 1, 577065013))
+        assert saturation_oracle(aut).answer and check_rva_parallel(aut).answer
+        assert check_rva_dim1(aut).answer
+
+    def test_pair_mismatch_expands_to_verified_pair(self):
+        aut = parallelize_automaton(gen_random_sequential_shaped(16, 2, 1, 768400880))
+        verdict = check_rva_dim1(aut)
+        assert not verdict.answer and verdict.witness.kind == "pair-mismatch"
+        expansion = expand_witness(verdict, "dim1")
+        assert expansion is not None and expansion.verify(aut)
 
 
 class TestComplementCheck:

@@ -159,7 +159,7 @@ class TestCli:
         assert payload["witness"]["kind"] == "equal-value-pair"
         full = tmp_path / "full.rva"
         run_cli("gen", "--kind", "full-space", "-o", str(full))
-        proc = run_cli("oracle", str(full), "--bound", "6", "--seed", "1")
+        proc = run_cli("oracle", str(full), "--bound", "6")
         assert proc.returncode == 0
 
     def test_classify_reports_shape(self):

@@ -147,25 +147,15 @@ class TestJointEquivalence:
         assert matches == {(2, 2)}
 
     def test_matches_bruteforce(self):
-        pool = list(corpus(12, sizes=range(1, 6), bases=(2,), dims=(1,)))
-        for a, b in zip(pool[::2], pool[1::2]):
-            table = joint_equivalence([a, b])
-            for q in range(a.n):
-                for p in range(b.n):
-                    assert table.same_language(0, q, 1, p) == (
-                        state_lang_equal_bruteforce(a, q, b, p)
-                    )
-
-    def test_fresh_root_and_plain_union_agree(self):
-        pool = list(corpus(12, sizes=range(1, 6), bases=(3,), dims=(1,)))
-        for a, b in zip(pool[::2], pool[1::2]):
-            with_root = joint_equivalence([a, b], fresh_initial=True)
-            without = joint_equivalence([a, b], fresh_initial=False)
-            for q in range(a.n):
-                for p in range(b.n):
-                    assert with_root.same_language(0, q, 1, p) == (
-                        without.same_language(0, q, 1, p)
-                    )
+        for base in (2, 3):
+            pool = list(corpus(12, sizes=range(1, 6), bases=(base,), dims=(1,)))
+            for a, b in zip(pool[::2], pool[1::2]):
+                table = joint_equivalence([a, b])
+                for q in range(a.n):
+                    for p in range(b.n):
+                        assert table.same_language(0, q, 1, p) == (
+                            state_lang_equal_bruteforce(a, q, b, p)
+                        )
 
     def test_alphabet_mismatch_rejected(self):
         a = gen_known_rva("full-space", 2, 1)
