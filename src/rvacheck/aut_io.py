@@ -16,10 +16,13 @@
     0 * -> 1
     ...
 
-``#`` starts a comment.  Parallel letters are comma-joined digits
-("1,0"), sequential letters single digits, ``#`` marks a fixed
-component and ``*`` the separator.  Parsing validates totality unless a
-missing transition is allowed to fall into a fresh rejecting sink.
+Parallel letters are comma-joined digits ("1,0"), sequential letters
+single digits, ``#`` marks a fixed component and ``*`` the separator.
+In the header ``#`` starts a comment anywhere on a line.  Below
+``transitions:``, where ``#`` can be a letter, it starts a comment only
+at the start of a line or after the destination state
+(``0 #,1 -> 2  # note``).  Parsing validates totality unless a missing
+transition is allowed to fall into a fresh rejecting sink.
 """
 
 from __future__ import annotations
@@ -37,17 +40,13 @@ class AutomatonFormatError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-def _strip(line):
-    return line.split("#", 1)[0].strip()
-
-
 def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
     lines = text.splitlines()
     fields = {}
     transitions_at = None
     header_seen = False
     for idx, raw in enumerate(lines, start=1):
-        line = _strip(raw)
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if not header_seen:
@@ -119,54 +118,59 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
         raise AutomatonFormatError("accepting state out of range", acc_line)
 
     width = spec.num_letters
-    table = [[None] * width for _ in range(n)]
+    flat = [None] * (n * width)
+    letter_ids = {}  # exact letter token -> letter index
     for idx in range(transitions_at, len(lines)):
-        line = _strip(lines[idx])
-        if not line:
-            continue
-        head, arrow, dst_text = line.partition("->")
-        if not arrow:
-            raise AutomatonFormatError(
-                f"expected '<src> <letter> -> <dst>', found {line!r}", idx + 1
-            )
+        head, arrow, tail = lines[idx].partition("->")
         parts = head.split()
+        if parts and parts[0][0] == "#":
+            continue  # comment line
+        if not arrow:
+            if not parts:
+                continue
+            raise AutomatonFormatError(
+                f"expected '<src> <letter> -> <dst>', found {head.strip()!r}", idx + 1
+            )
         if len(parts) != 2:
             raise AutomatonFormatError(
                 f"expected '<src> <letter>' before '->', found {head.strip()!r}", idx + 1
             )
+        src_text, token = parts
         try:
-            src = int(parts[0])
-            dst = int(dst_text.strip())
+            src = int(src_text)
+            dst = int(tail.split("#", 1)[0])
         except ValueError:
             raise AutomatonFormatError("states must be integers", idx + 1)
         if not (0 <= src < n) or not (0 <= dst < n):
             raise AutomatonFormatError("transition state out of range", idx + 1)
-        try:
-            li = spec.letter_index(spec.parse_letter(parts[1]))
-        except ValueError as exc:
-            raise AutomatonFormatError(str(exc), idx + 1)
-        if table[src][li] is not None:
+        li = letter_ids.get(token)
+        if li is None:
+            try:
+                li = spec.letter_index(spec.parse_letter(token))
+            except ValueError as exc:
+                raise AutomatonFormatError(str(exc), idx + 1)
+            letter_ids[token] = li
+        k = src * width + li
+        if flat[k] is not None:
             raise AutomatonFormatError(
-                f"duplicate transition for state {src} letter {parts[1]}", idx + 1
+                f"duplicate transition for state {src} letter {token}", idx + 1
             )
-        table[src][li] = dst
+        flat[k] = dst
 
-    missing = [
-        (q, li) for q in range(n) for li in range(width) if table[q][li] is None
-    ]
-    if missing:
+    if None in flat:
+        missing = [k for k, t in enumerate(flat) if t is None]
         if not complete_with_sink:
-            q, li = missing[0]
+            q, li = divmod(missing[0], width)
             raise AutomatonFormatError(
                 f"missing transition for state {q} letter "
                 f"{spec.format_letter(spec.letter_at(li))}; "
                 "pass --complete-with-sink to add a rejecting sink"
             )
-        sink = n
+        for k in missing:
+            flat[k] = n
+        flat += [n] * width
         n += 1
-        for q, li in missing:
-            table[q][li] = sink
-        table.append([sink] * width)
+    table = [flat[k : k + width] for k in range(0, n * width, width)]
     return Automaton(spec, n, initial, accepting, table)
 
 

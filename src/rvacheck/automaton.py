@@ -1,10 +1,10 @@
 """Total deterministic Buchi automata over digit alphabets.
 
-States are dense integers; the transition table is a dense
-``n x num_letters`` array of state ids, so a transition lookup is a
-constant-time indexing operation.  Values are treated as immutable after
-construction: every operation here is a pure read and results are fresh
-objects.
+States are dense integers; the transition table is a list of ``n``
+rows, each a list of ``num_letters`` state ids, so a transition lookup
+is two constant-time list indexings.  Values are treated as immutable
+after construction: every operation here is a pure read and results are
+fresh objects.
 """
 
 from __future__ import annotations
@@ -111,13 +111,15 @@ class SccInfo:
     ``components`` is in reverse topological order (sinks first).  A
     component is *recurrent* when it can reach itself (size > 1 or a
     self-loop) and *accepting-recurrent* when additionally it contains
-    an accepting state.
+    an accepting state.  ``weak`` says whether every component lies
+    wholly inside or wholly outside the accepting set.
     """
 
     scc_of: list
     components: list
     recurrent: list
     accepting: list
+    weak: bool
 
     @property
     def num_sccs(self):
@@ -141,77 +143,86 @@ class SccInfo:
         ]
 
 
-def sccs(aut: Automaton) -> SccInfo:
-    """Tarjan's algorithm, iterative, over the dense transition table."""
-    n = aut.n
-    width = aut.alphabet.num_letters
-    index = [-1] * n
+def strong_components(succ):
+    """Tarjan's algorithm, iterative, over successor lists.
+
+    ``succ[v]`` lists the successors of node ``v``.  Returns ``scc_of``
+    and the components in reverse topological order (sinks first), each
+    listing its members in discovery order.
+
+    A node is numbered by its position on Tarjan's stack, not by its
+    discovery time: low-links only ever compare nodes on the stack, and
+    there the two orders agree.  A node visited but not yet assigned a
+    component is exactly a node on the stack.
+    """
+    n = len(succ)
+    index = [-1] * n  # stack position; -1 while unvisited
     low = [0] * n
-    on_stack = [False] * n
     stack = []
     scc_of = [-1] * n
     components = []
-    counter = 0
 
     for root in range(n):
-        if index[root] != -1:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
-        while work:
-            q, li = work[-1]
-            if li == 0:
-                index[q] = low[q] = counter
-                counter += 1
-                stack.append(q)
-                on_stack[q] = True
-            advanced = False
-            while li < width:
-                t = aut.delta[q][li]
-                li += 1
-                if index[t] == -1:
-                    work[-1] = (q, li)
-                    work.append((t, 0))
-                    advanced = True
+        index[root] = low[root] = 0  # the stack is empty between DFS trees
+        stack.append(root)
+        path = [root]  # the DFS path, with an iterator over each
+        todo = [iter(succ[root])]  # node's unexplored successors
+        while path:
+            v = path[-1]
+            lv = low[v]
+            for w in todo[-1]:
+                iw = index[w]
+                if iw < 0:
                     break
-                if on_stack[t]:
-                    low[q] = min(low[q], index[t])
-            if advanced:
+                if iw < lv and scc_of[w] < 0:
+                    lv = iw
+            else:  # every successor explored: v is finished
+                path.pop()
+                todo.pop()
+                start = index[v]
+                if lv == start:
+                    comp = stack[start:]
+                    del stack[start:]
+                    cid = len(components)
+                    for u in comp:
+                        scc_of[u] = cid
+                    components.append(comp)
+                if path and lv < low[path[-1]]:
+                    low[path[-1]] = lv
                 continue
-            work.pop()
-            if low[q] == index[q]:
-                comp = []
-                while True:
-                    t = stack.pop()
-                    on_stack[t] = False
-                    scc_of[t] = len(components)
-                    comp.append(t)
-                    if t == q:
-                        break
-                comp.reverse()
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[q])
+            # descend into the unvisited successor w
+            low[v] = lv
+            index[w] = low[w] = len(stack)
+            stack.append(w)
+            path.append(w)
+            todo.append(iter(succ[w]))
+    return scc_of, components
 
-    recurrent = []
-    accepting = []
-    for comp in components:
-        rec = len(comp) > 1 or any(
-            aut.delta[comp[0]][i] == comp[0] for i in range(width)
-        )
-        recurrent.append(rec)
-        accepting.append(rec and any(q in aut.accepting for q in comp))
-    return SccInfo(scc_of, components, recurrent, accepting)
+
+def sccs(aut: Automaton) -> SccInfo:
+    """Components of the transition graph, classified in one pass.
+
+    Runs :func:`strong_components` on the transition table, marks each
+    component recurrent or accepting-recurrent, and decides weakness
+    from the components the accepting set meets.
+    """
+    delta = aut.delta
+    acc = aut.accepting
+    scc_of, components = strong_components(delta)
+    recurrent = [len(comp) > 1 or comp[0] in delta[comp[0]] for comp in components]
+    accepting = [False] * len(components)
+    weak = True
+    for cid in {scc_of[q] for q in acc}:  # the components acc meets
+        accepting[cid] = recurrent[cid]
+        weak = weak and acc.issuperset(components[cid])
+    return SccInfo(scc_of, components, recurrent, accepting, weak)
 
 
 def is_weak(aut: Automaton, info: SccInfo | None = None) -> bool:
     """True iff the accepting set is a union of SCCs."""
-    info = info or sccs(aut)
-    for comp in info.components:
-        inside = sum(1 for q in comp if q in aut.accepting)
-        if inside not in (0, len(comp)):
-            return False
-    return True
+    return (info or sccs(aut)).weak
 
 
 def reachable_states(aut: Automaton):

@@ -105,47 +105,35 @@ def minimize_weak(aut: Automaton, info: SccInfo | None = None) -> Morphism:
     if not is_weak(aut, info):
         raise ValueError("minimization requires a weak automaton")
     colors = normalized_colors(aut, info)
-    block = refine_partition(aut.delta_array, colors)
-    width = aut.alphabet.num_letters
+    block = refine_partition(aut.delta_array, colors).tolist()
+    # block ids are dense; walking the states backwards leaves each
+    # block's smallest state as its representative
+    rep = dict(zip(reversed(block), range(aut.n - 1, -1, -1)))
 
-    rep = {}
-    for q in range(aut.n):
-        rep.setdefault(int(block[q]), q)
-
-    new_id = {}
+    new_id = [-1] * len(rep)
     order = []
 
     def visit(b):
-        if b not in new_id:
+        if new_id[b] < 0:
             new_id[b] = len(order)
             order.append(b)
 
-    visit(int(block[aut.initial]))
+    visit(block[aut.initial])
     head = 0
     while head < len(order):
         b = order[head]
         head += 1
-        row = aut.delta[rep[b]]
-        for i in range(width):
-            visit(int(block[row[i]]))
-    for b in sorted(rep):  # unreachable blocks keep deterministic ids too
+        for t in aut.delta[rep[b]]:
+            visit(block[t])
+    for b in range(len(rep)):  # unreachable blocks keep deterministic ids too
         visit(b)
 
-    acc_rec = [False] * (int(block.max()) + 1)
-    for cid, comp in enumerate(info.components):
-        if info.accepting[cid]:
-            for q in comp:
-                acc_rec[int(block[q])] = True
-
-    delta = [
-        [new_id[int(block[aut.delta[rep[b]][i]])] for i in range(width)]
-        for b in order
-    ]
-    accepting = frozenset(new_id[b] for b in order if acc_rec[b])
+    delta = [[new_id[block[t]] for t in aut.delta[rep[b]]] for b in order]
+    accepting = frozenset(new_id[block[q]] for q in info.accepting_recurrent_states())
     target = Automaton(
-        aut.alphabet, len(order), new_id[int(block[aut.initial])], accepting, delta
+        aut.alphabet, len(order), new_id[block[aut.initial]], accepting, delta
     )
-    mapping = tuple(new_id[int(block[q])] for q in range(aut.n))
+    mapping = tuple([new_id[b] for b in block])
     return Morphism(aut, target, mapping)
 
 
@@ -194,9 +182,8 @@ def joint_equivalence(automata) -> EquivalenceTable:
     if not is_weak(union, info):
         raise ValueError("joint minimization requires weak automata")
     colors = normalized_colors(union, info)
-    block = refine_partition(union.delta_array, colors)
+    block = refine_partition(union.delta_array, colors).tolist()
     classes = tuple(
-        tuple(int(block[off + q]) for q in range(a.n))
-        for off, a in zip(offsets, automata)
+        tuple(block[off : off + a.n]) for off, a in zip(offsets, automata)
     )
     return EquivalenceTable(tuple(automata), classes)

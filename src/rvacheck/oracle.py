@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .alphabet import AlphabetSpec, BLANK, PARALLEL, SEQUENTIAL, STAR
-from .automaton import Automaton, is_weak, sccs, trim_accessible
+from .automaton import Automaton, is_weak, sccs, strong_components, trim_accessible
 from .fixing import fix_parallel, fix_sequential
 from .verdict import NotWeak, Verdict
 from .words import (
@@ -32,58 +32,6 @@ from .words import (
 
 # ---------------------------------------------------------------------------
 # generic product-graph machinery
-
-
-def _tarjan(succ):
-    """SCC ids and components (reverse topological) of an explicit digraph."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    scc_of = [-1] * n
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(succ[v]):
-                w = succ[v][ei]
-                ei += 1
-                if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.reverse()
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return scc_of, comps
 
 
 def _explore(start, succ_fn, depth_cap=None):
@@ -123,13 +71,10 @@ def _find_bad_lasso(order, edges, is_bad_component):
     BFS in discovery order, first qualifying component wins.
     """
     succ = [[t for _, t in row] for row in edges]
-    scc_of, comps = _tarjan(succ)
+    scc_of, comps = strong_components(succ)
     bad = set()
     for cid, comp in enumerate(comps):
-        members = set(comp)
-        recurrent = len(comp) > 1 or any(
-            t == comp[0] for t in succ[comp[0]]
-        )
+        recurrent = len(comp) > 1 or comp[0] in succ[comp[0]]
         if recurrent and is_bad_component(order, comp):
             bad.add(cid)
     if not bad:

@@ -15,7 +15,49 @@ from rvacheck import (
     sccs,
     trim_accessible,
 )
-from rvacheck.oracle import gen_random_weak
+from rvacheck.automaton import strong_components
+from rvacheck.oracle import _explore, gen_random_weak
+
+
+def _tarjan_reference(succ):
+    """Recursive Tarjan: the component and member order sccs must keep."""
+    index, low, stack, scc_of, comps = {}, {}, [], [-1] * len(succ), []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in succ[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif scc_of[w] < 0:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = stack[stack.index(v):]
+            del stack[stack.index(v):]
+            for w in comp:
+                scc_of[w] = len(comps)
+            comps.append(comp)
+
+    for v in range(len(succ)):
+        if v not in index:
+            visit(v)
+    return scc_of, comps
+
+
+def _assert_components(succ, scc_of, components):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(succ)))
+    graph.add_edges_from((v, w) for v, row in enumerate(succ) for w in row)
+    expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
+    assert {frozenset(c) for c in components} == expected
+    # reverse topological: every edge leaving a component goes to an
+    # earlier-emitted component
+    for cid, comp in enumerate(components):
+        for v in comp:
+            for w in succ[v]:
+                assert scc_of[w] <= cid
+    assert (scc_of, components) == _tarjan_reference(succ)
 
 
 class TestAlphabet:
@@ -132,24 +174,34 @@ class TestSccs:
         flags = [info.is_transient(info.scc_of[q]) for q in range(3)]
         assert flags == [True, True, False]
 
-    @given(st.integers(0, 500), st.integers(1, 10), st.sampled_from([2, 3]))
+    @given(
+        st.integers(0, 500),
+        st.integers(1, 10),
+        st.sampled_from([2, 3]),
+        st.sampled_from([1, 2]),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_matches_networkx(self, seed, n, base):
-        aut = gen_random_weak(n, base, 1, "parallel", seed)
+    def test_matches_networkx(self, seed, n, base, dim):
+        # d=2 rows have width 5 (base 2) or 10 (base 3)
+        aut = gen_random_weak(n, base, dim, "parallel", seed)
         info = sccs(aut)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        for q in range(n):
-            for t in aut.delta[q]:
-                graph.add_edge(q, t)
-        expected = {frozenset(c) for c in nx.strongly_connected_components(graph)}
-        assert {frozenset(c) for c in info.components} == expected
-        # reverse topological: every edge leaving a component goes to an
-        # earlier-emitted component
-        for cid, comp in enumerate(info.components):
-            for q in comp:
-                for t in aut.delta[q]:
-                    assert info.scc_of[t] <= cid
+        _assert_components(aut.delta, info.scc_of, info.components)
+
+    @given(st.integers(0, 500), st.integers(1, 8), st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_product_graph_matches_networkx(self, seed, n, dim):
+        # the two-run product graph the oracle's lasso search walks
+        a = gen_random_weak(n, 2, dim, "parallel", seed)
+        b = gen_random_weak(1 + seed % 7, 2, dim, "parallel", seed + 1)
+        width = a.alphabet.num_letters
+
+        def succ_fn(node):
+            x, y = node
+            return [(i, (a.delta[x][i], b.delta[y][i])) for i in range(width)]
+
+        _, edges, _ = _explore((a.initial, b.initial), succ_fn)
+        succ = [[t for _, t in row] for row in edges]
+        _assert_components(succ, *strong_components(succ))
 
 
 class TestWeakness:
@@ -171,6 +223,19 @@ class TestWeakness:
     @settings(max_examples=40, deadline=None)
     def test_generated_always_weak(self, seed, n):
         assert is_weak(gen_random_weak(n, 2, 1, "parallel", seed))
+
+    @given(st.integers(0, 300), st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flag_matches_definition(self, seed, n, data):
+        base = gen_random_weak(n, 2, 1, "parallel", seed)
+        accepting = data.draw(st.frozensets(st.integers(0, n - 1)))
+        aut = Automaton(base.alphabet, n, 0, accepting, base.delta)
+        info = sccs(aut)
+        expected = all(
+            accepting.isdisjoint(comp) or accepting.issuperset(comp)
+            for comp in info.components
+        )
+        assert info.weak == is_weak(aut, info) == expected
 
 
 class TestLassoAcceptance:

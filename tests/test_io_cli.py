@@ -3,14 +3,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvacheck import (
     AutomatonFormatError,
+    fix_parallel,
+    fix_sequential,
     parse_automaton,
     serialize_automaton,
 )
 from rvacheck.cli import main
-from rvacheck.oracle import gen_known_rva, gen_random_weak
+from rvacheck.oracle import gen_known_rva, gen_random_weak, gen_residue_rva
 from tests.conftest import FIG2_PATH
 
 
@@ -29,6 +33,8 @@ class TestFormat:
             gen_known_rva("full-space", 2, 2),
             gen_known_rva("unit-box", 3, 2, "sequential"),
             gen_known_rva("complement-full", 2, 2),
+            fix_parallel(gen_residue_rva(7), 0, 1).automaton,  # '#' letters
+            fix_sequential(gen_known_rva("unit-box", 3, 2, "sequential"), 0).automaton,
         ]
         samples += [
             gen_random_weak(1 + s % 8, 2 + s % 2, 1 + s % 2, "parallel", s)
@@ -39,6 +45,47 @@ class TestFormat:
             again = parse_automaton(text)
             assert again.structurally_equal(aut)
             assert serialize_automaton(again) == text
+
+    @given(
+        st.integers(0, 500),
+        st.integers(1, 6),
+        st.sampled_from([2, 3]),
+        st.sampled_from([1, 2]),
+        st.sampled_from(["parallel", "sequential"]),
+        st.integers(-1, 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_property(self, seed, n, base, dim, encoding, fix):
+        aut = gen_random_weak(n, base, dim, encoding, seed)
+        # fix < 0 keeps the alphabet; otherwise fix a component to digit 1,
+        # which brings in the letters '#', '#,1' and '1,#'
+        if fix >= 0 and encoding == "parallel":
+            aut = fix_parallel(aut, min(fix, dim - 1), 1).automaton
+        elif fix >= 0:
+            aut = fix_sequential(aut, 1).automaton
+        text = serialize_automaton(aut)
+        again = parse_automaton(text)
+        assert again.structurally_equal(aut)
+        assert serialize_automaton(again) == text
+        # comment lines and comments after the destination are skipped
+        commented = "\n".join(
+            line + "  # note" if "->" in line else line for line in text.splitlines()
+        ).replace("transitions:", "transitions:\n# 0 0 -> 0\n  # note", 1)
+        assert parse_automaton(commented).structurally_equal(aut)
+
+    def test_letter_spellings_share_one_slot(self, fig2_text):
+        # '01' is read as the letter 1, so it collides with the '1' line
+        lines = fig2_text.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("0 1 "))
+        respelled = list(lines)
+        respelled[at] = lines[at].replace("0 1 ", "0 01 ", 1)
+        assert parse_automaton("\n".join(respelled)).structurally_equal(
+            parse_automaton(fig2_text)
+        )
+        with pytest.raises(AutomatonFormatError) as err:
+            parse_automaton("\n".join(respelled + [lines[at]]))
+        assert "duplicate" in str(err.value)
+        assert err.value.line == len(lines) + 1
 
     def test_missing_transition_reported(self, fig2_text):
         pruned = "\n".join(
@@ -69,8 +116,12 @@ class TestFormat:
 
     def test_digit_out_of_range(self):
         text = FIG2_PATH.read_text().replace("base: 3", "base: 2")
-        with pytest.raises(AutomatonFormatError):
+        with pytest.raises(AutomatonFormatError) as err:
             parse_automaton(text)
+        lines = text.splitlines()
+        assert err.value.line == 1 + next(
+            i for i, line in enumerate(lines) if line.startswith("0 2 ")
+        )
 
     def test_error_carries_line_number(self):
         text = (
