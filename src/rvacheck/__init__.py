@@ -17,7 +17,13 @@ from .check import (
     check_rva_sequential,
 )
 from .fixing import FixedAutomaton, SequentialFixedAutomaton, fix_parallel, fix_sequential
-from .minimize import EquivalenceTable, Morphism, joint_equivalence, minimize_weak
+from .minimize import (
+    EquivalenceTable,
+    Morphism,
+    distinguishing_word,
+    joint_equivalence,
+    minimize_weak,
+)
 from .oracle import (
     gen_interval_rva,
     gen_known_rva,

@@ -27,6 +27,8 @@ transition is allowed to fall into a fresh rejecting sink.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .alphabet import AlphabetSpec, PARALLEL, SEQUENTIAL
 from .automaton import Automaton
 
@@ -118,7 +120,11 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
         raise AutomatonFormatError("accepting state out of range", acc_line)
 
     width = spec.num_letters
-    flat = [None] * (n * width)
+    below = len(lines) - transitions_at
+    # each line holds at most one transition: a table the lines cannot
+    # fill fails anyway, so it is not allocated at its declared size
+    short = not complete_with_sink and n * width > below
+    flat = defaultdict(lambda: None) if short else [None] * (n * width)
     letter_ids = {}  # exact letter token -> letter index
     for idx in range(transitions_at, len(lines)):
         head, arrow, tail = lines[idx].partition("->")
@@ -157,13 +163,19 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
             )
         flat[k] = dst
 
-    if None in flat:
-        missing = [k for k, t in enumerate(flat) if t is None]
+    if short or None in flat:
+        missing = (k for k in range(n * width) if flat[k] is None)
         if not complete_with_sink:
-            q, li = divmod(missing[0], width)
+            q, li = divmod(next(missing), width)
+            size = (
+                f" ({n} states x {width} letters need {n * width} transitions, "
+                f"{below} lines follow 'transitions:')"
+                if short
+                else ""
+            )
             raise AutomatonFormatError(
                 f"missing transition for state {q} letter "
-                f"{spec.format_letter(spec.letter_at(li))}; "
+                f"{spec.format_letter(spec.letter_at(li))}{size}; "
                 "pass --complete-with-sink to add a rejecting sink"
             )
         for k in missing:

@@ -227,18 +227,14 @@ def is_weak(aut: Automaton, info: SccInfo | None = None) -> bool:
 
 def reachable_states(aut: Automaton):
     """States reachable from the initial state, in BFS discovery order."""
-    width = aut.alphabet.num_letters
     order = [aut.initial]
-    seen = {aut.initial}
-    head = 0
-    while head < len(order):
-        q = order[head]
-        head += 1
-        row = aut.delta[q]
-        for i in range(width):
-            t = row[i]
-            if t not in seen:
-                seen.add(t)
+    seen = bytearray(aut.n)
+    seen[aut.initial] = 1
+    delta = aut.delta
+    for q in order:
+        for t in delta[q]:
+            if not seen[t]:
+                seen[t] = 1
                 order.append(t)
     return order
 
@@ -246,13 +242,14 @@ def reachable_states(aut: Automaton):
 def trim_accessible(aut: Automaton):
     """Restriction to the states reachable from the initial state.
 
-    Returns the trimmed automaton plus the old-to-new state map (states
-    are renumbered in BFS discovery order).  The language is preserved.
+    Returns the trimmed automaton plus the old-to-new state map, or
+    ``(aut, None)`` when every state is reachable.  Kept states keep
+    their relative order.  The language is preserved.
     """
     order = reachable_states(aut)
     if len(order) == aut.n:
-        return aut, {q: q for q in range(aut.n)}
-    order = sorted(order)  # keep relative numbering when dropping states
+        return aut, None
+    order.sort()
     remap = {old: new for new, old in enumerate(order)}
     width = aut.alphabet.num_letters
     delta = [[remap[aut.delta[old][i]] for i in range(width)] for old in order]

@@ -14,7 +14,7 @@ import time
 
 from .alphabet import PARALLEL, SEQUENTIAL
 from .aut_io import AutomatonFormatError, parse_automaton, serialize_automaton
-from .automaton import is_weak
+from .automaton import is_weak, sccs, trim_accessible
 from .check import (
     check_rva_complement_parallel,
     check_rva_dim1,
@@ -24,7 +24,6 @@ from .check import (
 from .minimize import minimize_weak
 from .oracle import expand_witness, gen_known_rva, saturation_oracle
 from .shape import is_d_parallel, is_d_sequential
-from .automaton import trim_accessible
 from .words import format_lasso, parse_lasso
 
 CHECKS = {
@@ -129,13 +128,15 @@ def cmd_classify(args):
 
 def cmd_minimize(args):
     aut = _load(args)
-    if not is_weak(aut):
+    trimmed, trim_map = trim_accessible(aut)
+    info = sccs(trimmed)
+    if not is_weak(trimmed, info):
         print("error: automaton is not weak", file=sys.stderr)
         return 1
-    trimmed, trim_map = trim_accessible(aut)
-    morphism = minimize_weak(trimmed)
+    morphism = minimize_weak(trimmed, info)
+    kept = zip(range(aut.n), range(aut.n)) if trim_map is None else trim_map.items()
     classes = {}
-    for old, new in trim_map.items():
+    for old, new in kept:
         classes.setdefault(morphism.mapping[new], []).append(old)
     text = serialize_automaton(morphism.target)
     if args.output:

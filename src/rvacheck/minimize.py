@@ -13,6 +13,12 @@ numpy arrays; each round sorts the (block, successor blocks) rows, so
 the engine is deterministic.  Worst-case round count is linear, but on
 the automata handled here the refinement depth stays logarithmic; see
 the empirical scaling test in the acceptance suite.
+
+The rounds also hold short distinguishing words: two states first split
+in round ``k`` have a letter whose successors are apart in round
+``k-1``, and states of different colors are told apart by walking down
+the color chain.  :func:`distinguishing_word` reads a lasso off them
+without building the product of two automata.
 """
 
 from __future__ import annotations
@@ -47,19 +53,24 @@ def normalized_colors(aut: Automaton, info: SccInfo | None = None):
     return [color[info.scc_of[q]] for q in range(aut.n)]
 
 
-def refine_partition(delta_array, labels):
-    """Coarsest refinement of ``labels`` stable under every letter.
+def _refinement_rounds(delta_array, labels):
+    """Moore refinement of ``labels``, one partition per round.
 
-    ``delta_array`` is the dense ``n x letters`` successor table.  The
-    result maps each state to a block id.  Signatures are folded one
-    letter at a time into packed integer codes, so each round costs a
-    few one-dimensional sorts; ids are deterministic.
+    ``delta_array`` is the dense ``n x letters`` successor table.  Round
+    0 ranks the labels; each later round splits the blocks of the round
+    before by the blocks of every letter's successor, so two states
+    share a round-``k`` block exactly when no word of length at most
+    ``k`` leads them to different labels.  The last partition yielded is
+    stable.  Signatures are folded one letter at a time into packed
+    integer codes, so each round costs a few one-dimensional sorts; ids
+    are deterministic.
     """
     n, width = delta_array.shape
     block = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)[1]
     block = block.astype(np.int64, copy=False)
     num = int(block.max()) + 1 if n else 0
     while True:
+        yield block
         code = block
         distinct = num
         for i in range(width):
@@ -75,9 +86,20 @@ def refine_partition(delta_array, labels):
                 code = code.astype(np.int64, copy=False)
             distinct = int(code.max()) + 1 if n else 0
         if distinct == num:
-            return block
+            return
         block = code
         num = distinct
+
+
+def refine_partition(delta_array, labels):
+    """Coarsest refinement of ``labels`` stable under every letter.
+
+    The result maps each state to a block id: the last round of
+    :func:`_refinement_rounds`.
+    """
+    for block in _refinement_rounds(delta_array, labels):
+        pass
+    return block
 
 
 @dataclass(frozen=True)
@@ -148,6 +170,34 @@ class EquivalenceTable:
         return self.classes[i][q] == self.classes[j][p]
 
 
+def _weak_union(automata):
+    """Disjoint union of weak automata over one alphabet.
+
+    The union is rooted at the first automaton's initial state.  Returns
+    it with each automaton's state offset in it and its components.
+    """
+    if not automata:
+        raise ValueError("need at least one automaton")
+    spec = automata[0].alphabet
+    if any(a.alphabet != spec for a in automata):
+        raise ValueError("automata must share an alphabet")
+
+    offsets = []
+    delta = []
+    accepting = set()
+    for a in automata:
+        off = len(delta)
+        offsets.append(off)
+        delta += [[t + off for t in row] for row in a.delta]
+        accepting.update(q + off for q in a.accepting)
+    union = Automaton(spec, len(delta), automata[0].initial, frozenset(accepting), delta)
+
+    info = sccs(union)
+    if not is_weak(union, info):
+        raise ValueError("automata must be weak")
+    return union, offsets, info
+
+
 def joint_equivalence(automata) -> EquivalenceTable:
     """Jointly minimize several automata over one alphabet.
 
@@ -157,33 +207,113 @@ def joint_equivalence(automata) -> EquivalenceTable:
     exactly when their languages agree.
     """
     automata = list(automata)
-    if not automata:
-        raise ValueError("need at least one automaton")
-    spec = automata[0].alphabet
-    if any(a.alphabet != spec for a in automata):
-        raise ValueError("joint minimization needs a shared alphabet")
-    width = spec.num_letters
-
-    offsets = []
-    total = 0
-    for a in automata:
-        offsets.append(total)
-        total += a.n
-
-    delta = []
-    accepting = set()
-    for off, a in zip(offsets, automata):
-        for q in range(a.n):
-            delta.append([a.delta[q][i] + off for i in range(width)])
-        accepting.update(q + off for q in a.accepting)
-    union = Automaton(spec, total, automata[0].initial, frozenset(accepting), delta)
-
-    info = sccs(union)
-    if not is_weak(union, info):
-        raise ValueError("joint minimization requires weak automata")
+    union, offsets, info = _weak_union(automata)
     colors = normalized_colors(union, info)
     block = refine_partition(union.delta_array, colors).tolist()
     classes = tuple(
         tuple(block[off : off + a.n]) for off, a in zip(offsets, automata)
     )
     return EquivalenceTable(tuple(automata), classes)
+
+
+def _shortest_path(delta, start, allowed, goal):
+    """Letters of a shortest path from ``start`` to a ``goal`` state.
+
+    Only ``allowed`` states are entered after ``start``.  Returns the
+    letter indices and the state reached.
+    """
+    parent = {start: None}
+    queue = [start]
+    for s in queue:
+        if goal(s):
+            path = []
+            end = s
+            while parent[s] is not None:
+                s, i = parent[s]
+                path.append(i)
+            return path[::-1], end
+        for i, t in enumerate(delta[s]):
+            if t not in parent and allowed(t):
+                parent[t] = (s, i)
+                queue.append(t)
+    raise RuntimeError("no path to the goal: the colors are inconsistent")
+
+
+def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
+    """A lasso accepted from exactly one of ``a``'s ``q`` and ``b``'s ``p``.
+
+    Returns ``(prefix, period)`` letter tuples, or None when the two
+    states have the same language; the contract of
+    :func:`rvacheck.oracle.distinguishing_lasso`, read off the
+    minimizer's refinement instead of the product of the two automata.
+
+    1. Color the disjoint union and refine it until ``q`` and ``p``
+       split.
+    2. Descend the rounds: a pair first split in round ``k`` has a
+       letter whose successors are apart in round ``k-1``.  After at
+       most ``rounds`` letters the two sides differ in color.
+    3. Walk the color chain.  The side ``x`` with the higher color
+       moves to a recurrent state of its color and loops a shortest
+       cycle there until the other side repeats at the period boundary.
+       If the two loops differ in acceptance, that is the lasso.
+       Otherwise the other side settled in a component of the same
+       acceptance, so of a color at least two lower: ``x`` walks to the
+       nearest recurrent state one color lower while the other side
+       stays strictly below (colors never rise along a transition).
+       This ends after at most ``color(x)`` steps.
+
+    The refinement costs ``O(rounds * n)`` time and memory for the
+    ``n`` states of the union: every round's blocks are kept for the
+    descent.  Each color step adds two breadth-first searches and at
+    most one pass of the cycle per state of the other side.  The lasso
+    is short but not always the shortest.
+    """
+    union, (_, off), info = _weak_union([a, b])
+    color = normalized_colors(union, info)
+    x, y = q, p + off
+    rounds = []  # the rounds before the one that splits q and p
+    for block in _refinement_rounds(union.delta_array, color):
+        if block[x] != block[y]:
+            break
+        rounds.append(block)
+    else:
+        return None
+
+    delta = union.delta
+    word = []
+    for block in reversed(rounds):  # x and y are apart one round later
+        if block[x] == block[y]:
+            rx, ry = delta[x], delta[y]
+            i = next(i for i, t in enumerate(rx) if block[t] != block[ry[i]])
+            word.append(i)
+            x, y = rx[i], ry[i]
+
+    scc_of, recurrent, accepting = info.scc_of, info.recurrent, info.accepting
+    if color[x] < color[y]:
+        x, y = y, x
+    c = color[x]
+    while True:
+        path, x = _shortest_path(
+            delta,
+            x,
+            lambda s: color[s] >= c,
+            lambda s: color[s] == c and recurrent[scc_of[s]],
+        )
+        for i in path:
+            y = delta[y][i]
+        home = scc_of[x]
+        head, last = _shortest_path(
+            delta, x, lambda s: scc_of[s] == home, lambda s: x in delta[s]
+        )
+        cycle = head + [delta[last].index(x)]
+        seen = {}
+        while y not in seen:  # x is back at x after every pass
+            seen[y] = len(seen)
+            for i in cycle:
+                y = delta[y][i]
+        word += path + cycle * seen[y]
+        if accepting[home] != accepting[scc_of[y]]:
+            period = cycle * (len(seen) - seen[y])
+            letter = union.alphabet.letter_at
+            return tuple(map(letter, word)), tuple(map(letter, period))
+        c -= 1

@@ -8,6 +8,12 @@ with dual tails for rounding discrepancies, and one run against a small
 separator monitor for shape violations.  Every "no" answer is returned
 as a concrete word or pair of words and re-verified against the plain
 acceptance semantics before being reported.
+
+Witness expansion is not part of that independent ground truth: it
+reads its distinguishing lassos off the minimizer's refinement
+(:func:`rvacheck.minimize.distinguishing_word`), so it costs about as
+much as the check that produced the witness.  :func:`distinguishing_lasso`
+stays as the product-graph reference for it.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from dataclasses import dataclass
 from .alphabet import AlphabetSpec, BLANK, PARALLEL, SEQUENTIAL, STAR
 from .automaton import Automaton, is_weak, sccs, strong_components, trim_accessible
 from .fixing import fix_parallel, fix_sequential
+from .minimize import distinguishing_word
 from .verdict import NotWeak, Verdict
 from .words import (
     LassoWord,
     PairWord,
+    SignDigitError,
     alternative_encodings,
     format_lasso,
     lasso_to_pair,
@@ -190,24 +198,35 @@ class BadShapeWord:
 
 @dataclass(frozen=True)
 class CounterexamplePair:
-    """Two encodings of the same vector with different acceptance."""
+    """Two encodings of the same vector with different acceptance.
+
+    ``signed`` reads both words as sign-extended (b-complement)
+    encodings, the semantics of the complement check.
+    """
 
     accepted: LassoWord
     rejected: LassoWord
     alphabet: AlphabetSpec
+    signed: bool = False
     kind = "equal-value-pair"
 
     def values(self):
-        return value_real(lasso_to_pair(self.accepted), self.alphabet)
+        return value_real(lasso_to_pair(self.accepted), self.alphabet, self.signed)
 
     def verify(self, aut: Automaton):
-        """Both words re-checked against plain acceptance and exact values."""
+        """Both words re-checked against plain acceptance and exact values.
+
+        False when a word read sign-extended has no sign digit.
+        """
         if not aut.accepts_lasso(self.accepted.prefix, self.accepted.period):
             return False
         if aut.accepts_lasso(self.rejected.prefix, self.rejected.period):
             return False
-        va = value_real(lasso_to_pair(self.accepted), self.alphabet)
-        vb = value_real(lasso_to_pair(self.rejected), self.alphabet)
+        try:
+            va = self.values()
+            vb = value_real(lasso_to_pair(self.rejected), self.alphabet, self.signed)
+        except SignDigitError:
+            return False
         return va == vb
 
     def to_dict(self):
@@ -517,13 +536,29 @@ def _fill_blanks(word, f, z, parallel):
     return tuple(fill(a) for a in word)
 
 
+def _verified_pair(m: Automaton, one: LassoWord, other: LassoWord, signed: bool):
+    """The two words as an accepted/rejected pair, or None unless it verifies."""
+    if not m.accepts_lasso(one.prefix, one.period):
+        one, other = other, one
+    pair = CounterexamplePair(one, other, m.alphabet, signed)
+    return pair if pair.verify(m) else None
+
+
 def expand_witness(verdict: Verdict, mode: str):
     """Turn a structural "no" witness into a concrete word-level one.
 
     ``mode`` names the check that produced the verdict (parallel,
     sequential, dim1 or complement).  Returns a ``CounterexamplePair``,
     a ``BadShapeWord``, or None when the witness has no word form (a
-    non-weak automaton).
+    non-weak automaton) or its pair does not verify.  Complement pairs
+    carry the sign-extended semantics.
+
+    Distinguishing lassos come from :func:`distinguishing_word`, which
+    reads them off the refinement of the two automata involved: the
+    cost is linear-size (rounds times states), not the size of their
+    product, and the lasso is short but not always the shortest.  Every
+    pair is re-checked by acceptance and exact value before it is
+    returned.
     """
     if verdict.answer or verdict.minimized is None:
         return None
@@ -532,13 +567,15 @@ def expand_witness(verdict: Verdict, mode: str):
     b = spec.base
     w = verdict.witness
     kind = w.kind
+    signed = mode == "complement"
 
     if kind == "not-shape":
         word = shape_violation_word(m)
         return BadShapeWord(word, spec) if word is not None else None
 
-    if kind == "zero-loop-broken" and mode != "complement":
-        return pad_violation(m)
+    if kind == "zero-loop-broken" and not signed:
+        pair = pad_violation(m)
+        return pair if pair is None or pair.verify(m) else None
 
     if kind == "zero-loop-broken":  # complement: sign absorption failed
         sign_digits = (0, b - 1)
@@ -549,15 +586,13 @@ def expand_witness(verdict: Verdict, mode: str):
             once = m.delta[m.initial][li]
             if m.delta[once][li] == once:
                 continue
-            lasso = distinguishing_lasso(m, once, m, m.delta[once][li])
+            lasso = distinguishing_word(m, once, m, m.delta[once][li])
             if lasso is None:
                 continue
             u, v = lasso
             short = LassoWord((letter,) + u, v)
             long = LassoWord((letter, letter) + u, v)
-            if m.accepts_lasso(short.prefix, short.period):
-                return CounterexamplePair(short, long, spec)
-            return CounterexamplePair(long, short, spec)
+            return _verified_pair(m, short, long, signed)
         return None
 
     if kind == "complement-prefix":
@@ -571,7 +606,7 @@ def expand_witness(verdict: Verdict, mode: str):
     if kind == "complement-initial-language":
         hi = fix_parallel(m, w.component, b - 1).automaton
         lo = fix_parallel(m, w.component, 0).automaton
-        lasso = distinguishing_lasso(hi, hi.initial, lo, lo.initial)
+        lasso = distinguishing_word(hi, hi.initial, lo, lo.initial)
         if lasso is None:
             return None
         u, v = lasso
@@ -583,9 +618,7 @@ def expand_witness(verdict: Verdict, mode: str):
             _fill_blanks(u, w.component, 0, True),
             _fill_blanks(v, w.component, 0, True),
         )
-        if m.accepts_lasso(hi_word.prefix, hi_word.period):
-            return CounterexamplePair(hi_word, lo_word, spec)
-        return CounterexamplePair(lo_word, hi_word, spec)
+        return _verified_pair(m, hi_word, lo_word, signed)
 
     if kind == "pair-mismatch":
         access = _access_words(m)
@@ -595,7 +628,7 @@ def expand_witness(verdict: Verdict, mode: str):
             lo = fix_parallel(m, w.component, 0).automaton
             x = m.step(w.state, w.letter)
             y = m.step(w.state, w.bumped_letter)
-            lasso = distinguishing_lasso(hi, x, lo, y)
+            lasso = distinguishing_word(hi, x, lo, y)
             if lasso is None:
                 return None
             u, v = lasso
@@ -614,7 +647,7 @@ def expand_witness(verdict: Verdict, mode: str):
             lo_fix = fix_sequential(m, 0)
             x = hi_fix.state(m.step(w.state, w.letter), 0)
             y = lo_fix.state(m.step(w.state, w.bumped_letter), 0)
-            lasso = distinguishing_lasso(hi_fix.automaton, x, lo_fix.automaton, y)
+            lasso = distinguishing_word(hi_fix.automaton, x, lo_fix.automaton, y)
             if lasso is None:
                 return None
             u, v = lasso
@@ -626,9 +659,7 @@ def expand_witness(verdict: Verdict, mode: str):
                 prefix_letters + (w.bumped_letter,) + _fill_blanks(u, None, 0, False),
                 _fill_blanks(v, None, 0, False),
             )
-        if m.accepts_lasso(hi_word.prefix, hi_word.period):
-            return CounterexamplePair(hi_word, lo_word, spec)
-        return CounterexamplePair(lo_word, hi_word, spec)
+        return _verified_pair(m, hi_word, lo_word, signed)
 
     return None
 

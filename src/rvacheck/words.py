@@ -127,19 +127,36 @@ def _component(symbols, i):
     return tuple(sym[i] for sym in symbols)
 
 
-def value_real(pw: PairWord, alphabet: AlphabetSpec):
-    """The vector of exact rationals encoded by a one-separator pair word."""
+class SignDigitError(ValueError):
+    """A word read sign-extended that has no sign digit to open with."""
+
+
+def value_real(pw: PairWord, alphabet: AlphabetSpec, signed=False):
+    """The vector of exact rationals encoded by a one-separator pair word.
+
+    With ``signed`` the natural part is read sign-extended
+    (b-complement): component digits ``s w`` are worth
+    ``value(s w) - b^len(s w)`` when the sign digit ``s`` is ``b-1``, and
+    a first digit other than ``0`` or ``b-1`` raises ``SignDigitError``.
+    """
     if not alphabet.is_parallel:
         pw = parallelize(pw, alphabet.dim)
     nat, fpre, fper = split_at_star(pw)
     if any(BLANK in vec for vec in nat + fpre + fper):
         raise ValueError("cannot evaluate a word with fixed components")
+    if signed and not nat:
+        raise SignDigitError("sign-extended word without a sign digit")
+    b = alphabet.base
     values = []
     for i in range(alphabet.dim):
-        comp_nat = value_natural(_component(nat, i), alphabet.base)
-        comp_fra = value_fractional(
-            _component(fpre, i), _component(fper, i), alphabet.base
-        )
+        digits = _component(nat, i)
+        comp_nat = value_natural(digits, b)
+        if signed:
+            if digits[0] not in (0, b - 1):
+                raise SignDigitError("sign-extended word opens with a non-sign digit")
+            if digits[0] == b - 1:
+                comp_nat -= b ** len(digits)
+        comp_fra = value_fractional(_component(fpre, i), _component(fper, i), b)
         values.append(comp_nat + comp_fra)
     return tuple(values)
 

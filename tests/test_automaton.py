@@ -264,8 +264,8 @@ class TestLassoAcceptance:
 class TestTrim:
     def test_identity_when_all_reachable(self, fig2):
         trimmed, mapping = trim_accessible(fig2)
-        assert trimmed.n == 7
-        assert mapping == {q: q for q in range(7)}
+        assert trimmed is fig2
+        assert mapping is None
 
     def test_drops_unreachable(self):
         spec = AlphabetSpec(2, 1)
@@ -278,6 +278,16 @@ class TestTrim:
         for u in itertools.product(letters, repeat=2):
             for v in itertools.product(letters, repeat=2):
                 assert aut.accepts_lasso(u, v) == trimmed.accepts_lasso(u, v)
+
+    def test_keeps_relative_order(self):
+        spec = AlphabetSpec(2, 1)
+        # from 3, BFS finds 1 before 0; state 2 is unreachable
+        delta = [[0, 0, 0], [1, 1, 1], [2, 2, 2], [1, 0, 3]]
+        aut = Automaton(spec, 4, 3, frozenset({0}), delta)
+        trimmed, mapping = trim_accessible(aut)
+        assert mapping == {0: 0, 1: 1, 3: 2}
+        assert trimmed.initial == 2
+        assert trimmed.delta == [[0, 0, 0], [1, 1, 1], [1, 0, 2]]
 
     def test_predecessors(self, fig2):
         preds = predecessor_lists(fig2)

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvacheck import (
+    AlphabetSpec,
+    Automaton,
     AutomatonFormatError,
     fix_parallel,
     fix_sequential,
@@ -123,6 +126,26 @@ class TestFormat:
             i for i, line in enumerate(lines) if line.startswith("0 2 ")
         )
 
+    def test_declared_size_beyond_the_lines_is_not_allocated(self, tmp_path):
+        text = (
+            "rva-automaton v1\nbase: 2\ndim: 1\nencoding: parallel\n"
+            "states: 2000000\ninitial: 0\naccepting:\ntransitions:\n"
+            "0 0 -> 0\n0 1 -> 0\n0 * -> 0\n"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(AutomatonFormatError) as err:
+                parse_automaton(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "6000000" in str(err.value) and "3 lines" in str(err.value)
+        assert "state 1" in str(err.value)
+        path = tmp_path / "huge.rva"
+        path.write_text(text)
+        assert main(["check", str(path), "--mode", "parallel"]) == 2
+
     def test_error_carries_line_number(self):
         text = (
             "rva-automaton v1\nbase: x\ndim: 1\nencoding: parallel\n"
@@ -196,6 +219,35 @@ class TestCli:
         }
         small = parse_automaton(out.read_text())
         assert small.n == 5
+
+    def test_minimize_ignores_unreachable_non_weak_part(self, tmp_path):
+        # states 2 and 3 form an unreachable cycle where only 3 accepts
+        text = (
+            "rva-automaton v1\nbase: 2\ndim: 1\nencoding: parallel\n"
+            "states: 4\ninitial: 0\naccepting: 1 3\ntransitions:\n"
+            "0 0 -> 0\n0 1 -> 1\n0 * -> 1\n1 0 -> 1\n1 1 -> 1\n1 * -> 1\n"
+            "2 0 -> 3\n2 1 -> 3\n2 * -> 3\n3 0 -> 2\n3 1 -> 2\n3 * -> 2\n"
+        )
+        path = tmp_path / "part.rva"
+        path.write_text(text)
+        proc = run_cli("minimize", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["states"] == 2
+        assert sorted(payload["classes"].values()) == [[0], [1]]
+        assert run_cli("check", str(path), "--mode", "parallel").returncode in (0, 1)
+
+    def test_complement_witness_value_is_signed(self, tmp_path):
+        text = serialize_automaton(
+            Automaton(AlphabetSpec(2, 1), 6, 0, frozenset({3}),
+                      [[5, 1, 4], [4, 2, 3], [2, 2, 4], [3, 3, 4], [4, 4, 4], [5, 4, 3]])
+        )
+        path = tmp_path / "sign.rva"
+        path.write_text(text)
+        proc = run_cli("check", str(path), "--mode", "complement", "--json")
+        assert proc.returncode == 1
+        expansion = json.loads(proc.stdout)["witness"]["expansion"]
+        assert expansion["value"] == ["-1"]
 
     def test_eval_word(self):
         accept = run_cli("eval", str(FIG2_PATH), "--word", "2 * / 1")

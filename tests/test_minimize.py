@@ -3,17 +3,23 @@ import itertools
 import pytest
 
 from rvacheck import (
+    PARALLEL,
+    SEQUENTIAL,
     AlphabetSpec,
     Automaton,
+    distinguishing_word,
     is_weak,
     joint_equivalence,
     minimize_weak,
     trim_accessible,
 )
-from rvacheck.fixing import fix_parallel
+from rvacheck.fixing import fix_parallel, fix_sequential
 from rvacheck.oracle import (
+    distinguishing_lasso,
     gen_known_rva,
+    gen_random_sequential_shaped,
     gen_random_weak,
+    parallelize_automaton,
     state_lang_equal_bruteforce,
 )
 
@@ -162,3 +168,103 @@ class TestJointEquivalence:
         b = gen_known_rva("full-space", 3, 1)
         with pytest.raises(ValueError):
             joint_equivalence([a, b])
+
+
+def accepts_from(aut, q, word):
+    started = Automaton(aut.alphabet, aut.n, q, aut.accepting, aut.delta)
+    return started.accepts_lasso(*word)
+
+
+def weak_pairs(seeds):
+    """State pairs of random weak automata, of their hi/lo fixings, and
+    of shaped automata's fixings, in a fixed order."""
+    for seed in seeds:
+        for base, dim, enc in itertools.product((2, 3), (1, 2), (PARALLEL, SEQUENTIAL)):
+            a = gen_random_weak(2 + seed % 6, base, dim, enc, seed)
+            b = gen_random_weak(1 + seed * 7 % 8, base, dim, enc, seed + 1)
+            for q in range(a.n):
+                yield a, q, a, (q + 1) % a.n
+                yield a, q, b, q % b.n
+            if enc == PARALLEL:
+                f = seed % dim
+                hi = fix_parallel(a, f, base - 1).automaton
+                lo = fix_parallel(a, f, 0).automaton
+                for q in range(a.n):
+                    for p in range(a.n):
+                        yield hi, q, lo, p
+            else:
+                hi = fix_sequential(a, base - 1)
+                lo = fix_sequential(a, 0)
+                for q in range(a.n):
+                    yield hi.automaton, hi.state(q), lo.automaton, lo.state((q + seed) % a.n)
+        shaped = gen_random_sequential_shaped(8 + seed % 24, 2 + seed % 2, 1 + seed % 2, seed)
+        par = parallelize_automaton(shaped)
+        b = shaped.alphabet.base
+        hi, lo = fix_sequential(shaped, b - 1), fix_sequential(shaped, 0)
+        phi = fix_parallel(par, 0, b - 1).automaton
+        plo = fix_parallel(par, 0, 0).automaton
+        for q in range(shaped.n):
+            yield hi.automaton, hi.state(q), lo.automaton, lo.state(shaped.delta[q][0])
+            yield phi, q, plo, par.delta[q][0]
+
+
+class TestDistinguishingWord:
+    def test_agrees_with_product_search(self):
+        checked = differing = 0
+        for a, q, b, p in weak_pairs(range(25)):
+            word = distinguishing_word(a, q, b, p)
+            reference = distinguishing_lasso(a, q, b, p)
+            assert (word is None) == (reference is None), (a, q, b, p)
+            checked += 1
+            if word is not None:
+                differing += 1
+                assert accepts_from(a, q, word) != accepts_from(b, p, word)
+        assert checked >= 5000
+        assert differing >= 700
+
+    def test_long_color_chain(self):
+        # a ladder of k components of alternating acceptance: letter 1
+        # climbs down one rung, 0 and * loop, the last rung absorbs all;
+        # two rungs of the same acceptance only differ at the bottom
+        k = 9
+        spec = AlphabetSpec(2, 1)
+        delta = [[i, min(i + 1, k - 1), i] for i in range(k)]
+        ladder = Automaton(spec, k, 0, frozenset(range(0, k, 2)), delta)
+        for q in range(k):
+            for p in range(k):
+                word = distinguishing_word(ladder, q, ladder, p)
+                assert (word is None) == (q == p)
+                if word is not None:
+                    assert accepts_from(ladder, q, word) != accepts_from(ladder, p, word)
+
+    def test_deep_refinement(self):
+        # a unary counter whose states only differ after going round:
+        # pairs split after up to m rounds
+        m = 150
+        spec = AlphabetSpec(2, 1)
+        acc, dead = m, m + 1
+        delta = [[(r + 1) % m, acc if r == 0 else dead, dead] for r in range(m)]
+        delta += [[acc] * 3, [dead] * 3]
+        counter = Automaton(spec, m + 2, 0, frozenset({acc}), delta)
+        for q, p in [(1, 2), (0, m - 1), (3, 77), (m - 1, m - 2), (acc, dead)]:
+            word = distinguishing_word(counter, q, counter, p)
+            reference = distinguishing_lasso(counter, q, counter, p)
+            assert len(word[0]) + len(word[1]) <= len(reference[0]) + len(reference[1])
+            assert accepts_from(counter, q, word) != accepts_from(counter, p, word)
+
+    def test_fig2_pairs(self, fig2):
+        for q in range(fig2.n):
+            for p in range(fig2.n):
+                word = distinguishing_word(fig2, q, fig2, p)
+                assert (word is None) == state_lang_equal_bruteforce(fig2, q, fig2, p)
+                if word is not None:
+                    assert accepts_from(fig2, q, word) != accepts_from(fig2, p, word)
+
+    def test_alphabet_mismatch_and_non_weak_rejected(self):
+        a = gen_known_rva("full-space", 2, 1)
+        with pytest.raises(ValueError):
+            distinguishing_word(a, 0, gen_known_rva("full-space", 3, 1), 0)
+        spec = AlphabetSpec(2, 1)
+        cycle = Automaton(spec, 2, 0, frozenset({1}), [[1, 1, 1], [0, 0, 0]])
+        with pytest.raises(ValueError):
+            distinguishing_word(cycle, 0, a, 0)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,13 @@ from rvacheck import (
     state_lang_equal_bruteforce,
     value_real,
 )
+from rvacheck.check import check_rva_complement_parallel
 from rvacheck.oracle import (
     CounterexamplePair,
     distinguishing_lasso,
     dual_violation,
+    expand_witness,
+    gen_residue_rva,
     gen_interval_rva,
     gen_known_rva,
     gen_random_sequential_shaped,
@@ -26,7 +30,7 @@ from rvacheck.oracle import (
     saturation_oracle_enumerative,
     shape_violation_word,
 )
-from rvacheck.words import lasso_to_pair
+from rvacheck.words import LassoWord, lasso_to_pair
 
 
 class TestBruteforceEquality:
@@ -205,6 +209,49 @@ class TestGenerators:
             # the counter does not compress: minimization keeps it whole
             assert minimize_weak(aut).target.n >= n - 1
             assert saturation_oracle(aut).answer
+
+
+class TestComplementWitness:
+    def test_sign_absorption_pair_has_signed_value(self):
+        # "1 *" and "1 1 *" both encode -1 sign-extended; only one is accepted
+        spec = AlphabetSpec(2, 1)
+        delta = [[5, 1, 4], [4, 2, 3], [2, 2, 4], [3, 3, 4], [4, 4, 4], [5, 4, 3]]
+        aut = Automaton(spec, 6, 0, frozenset({3}), delta)
+        verdict = check_rva_complement_parallel(aut)
+        pair = expand_witness(verdict, "complement")
+        assert pair.signed
+        assert pair.verify(aut) and pair.verify(verdict.minimized)
+        assert pair.values() == (-1,)
+        assert pair.to_dict()["value"] == ["-1"]
+        unsigned = CounterexamplePair(pair.accepted, pair.rejected, spec)
+        assert not unsigned.verify(aut)
+
+    def test_verify_rejects_only_a_missing_sign_digit(self):
+        # base 3: a leading 1 leads to an accepting sink, 0 to a dead one
+        spec = AlphabetSpec(3, 1)
+        aut = Automaton(spec, 3, 0, frozenset({1}), [[2, 1, 2, 2], [1] * 4, [2] * 4])
+        one, zero = (1,), (0,)
+        rejected = LassoWord((zero, STAR), (zero,))
+        no_sign = CounterexamplePair(LassoWord((one, STAR), (zero,)), rejected, spec, True)
+        assert not no_sign.verify(aut)
+        # a separator in the period is no encoding at all: a fault upstream
+        malformed = CounterexamplePair(LassoWord((one,), (STAR, zero)), rejected, spec, True)
+        with pytest.raises(ValueError):
+            malformed.verify(aut)
+
+    def test_residue_expansion_is_fast_and_verified(self):
+        # the product search took about 29 s and 1.4 GB here
+        aut = gen_residue_rva(1457)
+        verdict = check_rva_complement_parallel(aut)
+        start = time.perf_counter()
+        pair = expand_witness(verdict, "complement")
+        elapsed = time.perf_counter() - start
+        assert isinstance(pair, CounterexamplePair) and pair.signed
+        assert pair.verify(aut)
+        assert value_real(lasso_to_pair(pair.accepted), aut.alphabet, signed=True) == (
+            value_real(lasso_to_pair(pair.rejected), aut.alphabet, signed=True)
+        )
+        assert elapsed < 1.0
 
 
 class TestParallelization:

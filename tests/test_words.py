@@ -17,6 +17,7 @@ from rvacheck import (
     value_real,
 )
 from rvacheck.words import (
+    SignDigitError,
     encodings_of_rational,
     lasso_to_pair,
     pair_to_lasso,
@@ -67,6 +68,40 @@ class TestValueMaps:
     def test_fractional_reaches_one(self):
         for b in (2, 3, 5):
             assert value_fractional([], [b - 1], b) == 1
+
+    def test_signed_values(self):
+        assert value_real(w([(1,)], [(0,)], stars={1}), B2, signed=True) == (-1,)
+        assert value_real(w([(1,), (1,)], [(0,)], stars={2}), B2, signed=True) == (-1,)
+        assert value_real(w([(0,), (1,)], [(0,)], stars={2}), B2, signed=True) == (1,)
+        assert value_real(w([(1,)], [(1,)], stars={1}), B2, signed=True) == (0,)
+        b3 = AlphabetSpec(3, 1)
+        assert value_real(w([(2,), (0,)], [(0,)], stars={2}), b3, signed=True) == (-3,)
+        vector = w([(1, 0), (0, 1)], [(0, 0)], stars={2})
+        assert value_real(vector, B2D2, signed=True) == (-2, 1)
+
+    def test_signed_needs_a_sign_digit(self):
+        with pytest.raises(SignDigitError):
+            value_real(w([(1,)], [(0,)], stars={1}), AlphabetSpec(3, 1), signed=True)
+        with pytest.raises(SignDigitError):
+            value_real(w([], [(0,)], stars={0}), B2, signed=True)
+
+    @given(
+        st.integers(2, 4),
+        st.lists(st.integers(0, 3), max_size=6),
+        st.booleans(),
+    )
+    def test_signed_is_b_complement(self, base, tail, negative):
+        sign = base - 1 if negative else 0
+        digits = [sign] + [d % base for d in tail]
+        spec = AlphabetSpec(base, 1)
+        word = w([(d,) for d in digits], [(0,)], stars={len(digits)})
+        value = value_real(word, spec, signed=True)[0]
+        if negative:  # -(complemented digits + 1)
+            assert value == -(value_natural([base - 1 - d for d in digits], base) + 1)
+        else:
+            assert value == value_natural(digits, base)
+        longer = w([(sign,)] + [(d,) for d in digits], [(0,)], stars={len(digits) + 1})
+        assert value_real(longer, spec, signed=True)[0] == value
 
     def test_star_count_enforced(self):
         with pytest.raises(ValueError):
