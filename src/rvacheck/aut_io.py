@@ -34,6 +34,12 @@ from .automaton import Automaton
 
 FORMAT_HEADER = "rva-automaton v1"
 
+# Largest table (states x letters) --complete-with-sink fills in, and
+# largest letter count any file may declare.  Completion allocates the
+# table at its declared size, so the header is held to this before
+# anything is allocated: about 128 MB per copy at 8 bytes a cell.
+MAX_TABLE_CELLS = 1 << 24
+
 
 class AutomatonFormatError(ValueError):
     def __init__(self, message, line=None):
@@ -119,7 +125,22 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
     if any(not (0 <= q < n) for q in accepting):
         raise AutomatonFormatError("accepting state out of range", acc_line)
 
+    free = spec.dim - len(spec.fixed)
+    # base >= 2, so from this exponent on b^free alone exceeds the budget
+    # and is not computed
+    too_wide = spec.is_parallel and free >= MAX_TABLE_CELLS.bit_length()
+    if too_wide or spec.num_letters > MAX_TABLE_CELLS:
+        letters = f"{spec.base}^{free} + 1" if spec.is_parallel else spec.num_letters
+        raise AutomatonFormatError(
+            f"declared alphabet of {letters} letters "
+            f"exceeds the budget of {MAX_TABLE_CELLS} transitions"
+        )
     width = spec.num_letters
+    if complete_with_sink and n * width > MAX_TABLE_CELLS:
+        raise AutomatonFormatError(
+            f"declared table of {n} states x {width} letters = {n * width} "
+            f"transitions exceeds the budget of {MAX_TABLE_CELLS} transitions"
+        )
     below = len(lines) - transitions_at
     # each line holds at most one transition: a table the lines cannot
     # fill fails anyway, so it is not allocated at its declared size
@@ -163,6 +184,7 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
             )
         flat[k] = dst
 
+    del lines  # free the line strings before the rows and the table exist
     if short or None in flat:
         missing = (k for k in range(n * width) if flat[k] is None)
         if not complete_with_sink:
@@ -201,7 +223,7 @@ def serialize_automaton(aut: Automaton) -> str:
     lines.append("accepting: " + " ".join(str(q) for q in sorted(aut.accepting)))
     lines.append("transitions:")
     letters = [spec.format_letter(spec.letter_at(i)) for i in range(spec.num_letters)]
-    for q in range(aut.n):
-        for li, text in enumerate(letters):
-            lines.append(f"{q} {text} -> {aut.delta[q][li]}")
+    for q, row in enumerate(aut.delta):
+        for text, t in zip(letters, row):
+            lines.append(f"{q} {text} -> {t}")
     return "\n".join(lines) + "\n"

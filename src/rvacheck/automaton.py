@@ -1,65 +1,91 @@
 """Total deterministic Buchi automata over digit alphabets.
 
-States are dense integers; the transition table is a list of ``n``
-rows, each a list of ``num_letters`` state ids, so a transition lookup
-is two constant-time list indexings.  Values are treated as immutable
-after construction: every operation here is a pure read and results are
-fresh objects.
+States are dense integers.  The transition table has two read-only
+forms.  ``table`` is one ``n x letters`` numpy int64 array, which the
+vectorized stages (fixings, unions, partition refinement, the dual-tail
+test) read with gathers.  ``delta`` is the same table as a list of
+``n`` rows, which the Python walks (SCCs, colors, breadth-first
+searches, the oracle) index.  An automaton stores the form it was built
+from and derives the other once, on first read: a parsed or generated
+automaton keeps its rows and gets its array when a vectorized stage
+first needs it; one built by a vectorized stage keeps its array and
+gets rows only if a Python walk reads them.  Values are treated as
+immutable after construction: every operation here is a pure read and
+results are fresh objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .alphabet import AlphabetSpec
 
 
-@dataclass(eq=False)
 class Automaton:
     """A total deterministic Buchi automaton.
 
-    ``delta[q][i]`` is the successor of state ``q`` on the letter with
-    index ``i`` (see :meth:`AlphabetSpec.letter_index`).
+    ``table[q, i]`` (and ``delta[q][i]``) is the successor of state
+    ``q`` on the letter with index ``i`` (see
+    :meth:`AlphabetSpec.letter_index`).  ``delta`` may be given as a
+    list of rows or as an ``n x letters`` integer array; either is
+    checked with whole-table reductions (row widths, smallest and
+    largest target).
     """
 
-    alphabet: AlphabetSpec
-    n: int
-    initial: int
-    accepting: frozenset
-    delta: list
-
-    def __post_init__(self):
-        if not isinstance(self.accepting, frozenset):
-            self.accepting = frozenset(self.accepting)
-        if self.n < 1:
+    def __init__(self, alphabet: AlphabetSpec, n: int, initial: int, accepting, delta):
+        self.alphabet = alphabet
+        self.n = n
+        self.initial = initial
+        self.accepting = frozenset(accepting)
+        if n < 1:
             raise ValueError("automaton needs at least one state")
-        if not (0 <= self.initial < self.n):
+        if not (0 <= initial < n):
             raise ValueError("initial state out of range")
-        if any(not (0 <= q < self.n) for q in self.accepting):
+        if self.accepting and not (0 <= min(self.accepting) and max(self.accepting) < n):
             raise ValueError("accepting state out of range")
-        width = self.alphabet.num_letters
-        if len(self.delta) != self.n:
+        width = alphabet.num_letters
+        if len(delta) != n:
             raise ValueError("transition table must have one row per state")
-        for q, row in enumerate(self.delta):
-            if len(row) != width:
-                raise ValueError(f"state {q}: expected {width} transitions, got {len(row)}")
-        if any(not (0 <= t < self.n) for row in self.delta for t in row):
-            raise ValueError("transition target out of range")
+        if isinstance(delta, np.ndarray):
+            table = delta.astype(np.int64, copy=False)
+            if table.shape != (n, width):
+                raise ValueError(f"transition table must be {n} x {width}")
+            # one reduction: a negative target reads as a huge unsigned one
+            if table.view(np.uint64).max() >= n:
+                raise ValueError("transition target out of range")
+            self.table = table
+        else:
+            if set(map(len, delta)) != {width}:
+                q = next(q for q, row in enumerate(delta) if len(row) != width)
+                raise ValueError(f"state {q}: expected {width} transitions, got {len(delta[q])}")
+            if min(chain.from_iterable(delta)) < 0 or max(chain.from_iterable(delta)) >= n:
+                raise ValueError("transition target out of range")
+            self.delta = delta
 
     @cached_property
-    def delta_array(self):
-        import numpy as np
+    def table(self):
+        """The rows as one ``n x letters`` int64 array, for the vectorized stages."""
+        cells = chain.from_iterable(self.delta)
+        count = self.n * self.alphabet.num_letters
+        return np.fromiter(cells, dtype=np.int64, count=count).reshape(self.n, -1)
 
-        return np.asarray(self.delta, dtype=np.int64)
+    @cached_property
+    def delta(self):
+        """The table as Python rows of plain ints, for the Python walks."""
+        return self.table.tolist()
 
     def step(self, q, letter):
         return self.delta[q][self.alphabet.letter_index(letter)]
 
     def run_prefix(self, q, word):
         """Fold of :meth:`step` over a finite letter sequence."""
+        delta = self.delta
         for a in word:
-            q = self.delta[q][self.alphabet.letter_index(a)]
+            q = delta[q][self.alphabet.letter_index(a)]
         return q
 
     def accepts_lasso(self, prefix, period):
@@ -74,13 +100,14 @@ class Automaton:
         if not period:
             raise ValueError("period must be nonempty")
         period_idx = [self.alphabet.letter_index(a) for a in period]
+        delta = self.delta
         q = self.run_prefix(self.initial, prefix)
         seen = {}
         while q not in seen:
             seen[q] = True
             p = q
             for i in period_idx:
-                p = self.delta[p][i]
+                p = delta[p][i]
             q = p
         # q now starts a cycle of whole-period hops; walk it once and
         # collect every intermediate state.
@@ -89,7 +116,7 @@ class Automaton:
         while True:
             for i in period_idx:
                 visited.add(p)
-                p = self.delta[p][i]
+                p = delta[p][i]
             if p == q:
                 break
         return bool(visited & self.accepting)
@@ -100,7 +127,7 @@ class Automaton:
             and self.n == other.n
             and self.initial == other.initial
             and self.accepting == other.accepting
-            and all(list(a) == list(b) for a, b in zip(self.delta, other.delta))
+            and np.array_equal(self.table, other.table)
         )
 
 
@@ -251,17 +278,20 @@ def trim_accessible(aut: Automaton):
         return aut, None
     order.sort()
     remap = {old: new for new, old in enumerate(order)}
-    width = aut.alphabet.num_letters
-    delta = [[remap[aut.delta[old][i]] for i in range(width)] for old in order]
+    kept = np.array(order)
+    new_id = np.zeros(aut.n, dtype=np.int64)
+    new_id[kept] = np.arange(len(order))
     accepting = frozenset(remap[q] for q in aut.accepting if q in remap)
-    trimmed = Automaton(aut.alphabet, len(order), remap[aut.initial], accepting, delta)
+    trimmed = Automaton(
+        aut.alphabet, len(order), remap[aut.initial], accepting, new_id[aut.table[kept]]
+    )
     return trimmed, remap
 
 
 def predecessor_lists(aut: Automaton):
     """``preds[q]`` lists the states with some transition into ``q``."""
     preds = [set() for _ in range(aut.n)]
-    for q in range(aut.n):
-        for t in aut.delta[q]:
+    for q, row in enumerate(aut.delta):
+        for t in row:
             preds[t].add(q)
     return [sorted(s) for s in preds]

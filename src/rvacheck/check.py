@@ -43,30 +43,70 @@ def _bump(letter, f):
     return letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
 
 
-def _dual_tails(m, f, states):
-    """Compare the dual tails of component ``f`` at each of ``states``.
+def _first_mismatch(bad):
+    """First ``(row, column)`` of a True entry, or None.
+
+    Columns are scanned in order, then rows within the first column
+    that has a True entry.
+    """
+    cols = bad.any(axis=0)
+    k = int(cols.argmax())
+    if not cols[k]:
+        return None
+    return int(bad[:, k].argmax()), k
+
+
+def _dual_tails(m, f, skip=None):
+    """Compare the dual tails of component ``f`` at every state but ``skip``.
 
     Jointly minimizes the fixings of ``f`` to ``b-1`` and to ``0``, then
     checks, letter by letter, that each state's successor on a letter
     and on the letter with ``f`` bumped have the same residual language
     in the respective fixing.  Returns the equivalence table and the
-    first mismatch found, or None.
+    first mismatch found (first by letter, then by state), or None.
     """
     spec = m.alphabet
     b = spec.base
     hi = fix_parallel(m, f, b - 1).automaton
     lo = fix_parallel(m, f, 0).automaton
     table = joint_equivalence([hi, lo])
-    for letter in spec.digit_letters():
-        if letter[f] == b - 1:
-            continue
-        bumped = _bump(letter, f)
-        li = spec.letter_index(letter)
-        lj = spec.letter_index(bumped)
-        for q in states:
-            if not table.same_language(0, m.delta[q][li], 1, m.delta[q][lj]):
-                return table, PairMismatch(f, q, letter, bumped)
-    return table, None
+    letters = [letter for letter in spec.digit_letters() if letter[f] != b - 1]
+    bumped = [_bump(letter, f) for letter in letters]
+    hi_cls, lo_cls = table.classes
+    bad = (
+        hi_cls[m.table[:, [spec.letter_index(x) for x in letters]]]
+        != lo_cls[m.table[:, [spec.letter_index(x) for x in bumped]]]
+    )
+    if skip is not None:
+        bad[skip] = False
+    first = _first_mismatch(bad)
+    if first is None:
+        return table, None
+    q, i = first
+    return table, PairMismatch(f, q, letters[i], bumped[i])
+
+
+def _sequential_tails(m):
+    """Dual-tail test of a sequential automaton: the last component.
+
+    Jointly minimizes the fixings of the last component to ``b-1`` and
+    to ``0``; for each digit ``a < b-1`` and each state, the successor
+    on ``a`` in the first and the successor on ``a+1`` in the second
+    must have the same language.  Returns the first mismatch (first by
+    digit, then by state), or None.
+    """
+    spec = m.alphabet
+    b = spec.base
+    hi = fix_sequential(m, b - 1)
+    lo = fix_sequential(m, 0)
+    hi_cls, lo_cls = joint_equivalence([hi.automaton, lo.automaton]).classes
+    first = _first_mismatch(
+        hi_cls[hi.state(m.table[:, : b - 1])] != lo_cls[lo.state(m.table[:, 1:b])]
+    )
+    if first is None:
+        return None
+    q, a = first
+    return PairMismatch(spec.dim - 1, q, a, a + 1)
 
 
 def check_rva_parallel(aut: Automaton) -> Verdict:
@@ -87,7 +127,7 @@ def check_rva_parallel(aut: Automaton) -> Verdict:
         return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
 
     for f in range(spec.dim):
-        _, mismatch = _dual_tails(m, f, range(m.n))
+        _, mismatch = _dual_tails(m, f)
         if mismatch is not None:
             return Verdict(False, mismatch, minimized=m)
     return Verdict(True, minimized=m)
@@ -112,18 +152,9 @@ def check_rva_sequential(aut: Automaton) -> Verdict:
     if q != m.initial:
         return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
 
-    b = spec.base
-    hi = fix_sequential(m, b - 1)
-    lo = fix_sequential(m, 0)
-    table = joint_equivalence([hi.automaton, lo.automaton])
-    for a in range(b - 1):
-        for q in range(m.n):
-            x = hi.state(m.delta[q][a], 0)
-            y = lo.state(m.delta[q][a + 1], 0)
-            if not table.same_language(0, x, 1, y):
-                return Verdict(
-                    False, PairMismatch(spec.dim - 1, q, a, a + 1), minimized=m
-                )
+    mismatch = _sequential_tails(m)
+    if mismatch is not None:
+        return Verdict(False, mismatch, minimized=m)
     return Verdict(True, minimized=m)
 
 
@@ -179,9 +210,8 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
         if m.delta[m.initial][li] not in dead:
             return Verdict(False, ComplementPrefix(letter), minimized=m)
 
-    away_from_root = [q for q in range(m.n) if q != m.initial]
     for f in range(spec.dim):
-        table, mismatch = _dual_tails(m, f, away_from_root)
+        table, mismatch = _dual_tails(m, f, skip=m.initial)
         if mismatch is not None:
             return Verdict(False, mismatch, minimized=m)
         # fixings keep the state numbering, so both roots are m.initial

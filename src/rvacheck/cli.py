@@ -100,8 +100,8 @@ def cmd_check(args):
 def cmd_classify(args):
     aut = _load(args)
     start = time.perf_counter()
-    weak = is_weak(aut)
     trimmed, _ = trim_accessible(aut)
+    weak = is_weak(trimmed)
     par = is_d_parallel(trimmed) if aut.alphabet.kind == PARALLEL else None
     seq = is_d_sequential(trimmed) if aut.alphabet.kind == SEQUENTIAL else None
     elapsed = time.perf_counter() - start

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .alphabet import BLANK, AlphabetSpec, PARALLEL, SEQUENTIAL
 from .automaton import Automaton
 
@@ -54,18 +56,14 @@ def fix_parallel(aut: Automaton, f: int, z: int) -> FixedAutomaton:
     if not (0 <= z < spec.base):
         raise ValueError("fixed digit out of range")
     new_spec = AlphabetSpec(spec.base, spec.dim, PARALLEL, spec.fixed | {f})
-    delta = []
-    filled = [
+    columns = [
         spec.letter_index(
             tuple(z if i == f else sym for i, sym in enumerate(letter))
         )
         for letter in new_spec.digit_letters()
     ]
-    star_old = spec.star_index
-    for q in range(aut.n):
-        row = aut.delta[q]
-        delta.append([row[i] for i in filled] + [row[star_old]])
-    fixed = Automaton(new_spec, aut.n, aut.initial, aut.accepting, delta)
+    columns.append(spec.star_index)
+    fixed = Automaton(new_spec, aut.n, aut.initial, aut.accepting, aut.table[:, columns])
     return FixedAutomaton(fixed, f, z)
 
 
@@ -84,26 +82,15 @@ def fix_sequential(aut: Automaton, z: int) -> SequentialFixedAutomaton:
         raise ValueError("fixed digit out of range")
     d = spec.dim
     new_spec = AlphabetSpec(spec.base, d, SEQUENTIAL, frozenset({d - 1}))
-    n_new = aut.n * d + 1
-    sink = aut.n * d
-    width = new_spec.num_letters
-    blank_idx = new_spec.letter_index(BLANK)
-    star_new = new_spec.star_index
-    star_old = spec.star_index
-    delta = []
-    for q in range(aut.n):
-        for i in range(d):
-            row = [sink] * width
-            if i < d - 1:
-                for a in range(spec.base):
-                    row[a] = aut.delta[q][a] * d + (i + 1)
-            else:
-                row[blank_idx] = aut.delta[q][z] * d
-            row[star_new] = aut.delta[q][star_old] * d + i
-            delta.append(row)
-    delta.append([sink] * width)
-    accepting = frozenset(
-        q * d + i for q in aut.accepting for i in range(d)
-    )
-    fixed = Automaton(new_spec, n_new, aut.initial * d, accepting, delta)
-    return SequentialFixedAutomaton(fixed, z, aut.n, d)
+    n, b = aut.n, spec.base
+    sink = n * d
+    src = aut.table
+    table = np.full((n * d + 1, new_spec.num_letters), sink, dtype=np.int64)
+    # rows q*d .. q*d+d-1 hold state q at digit classes 0 .. d-1
+    classes = table[:sink].reshape(n, d, -1)
+    classes[:, : d - 1, :b] = src[:, None, :b] * d + np.arange(1, d)[:, None]
+    classes[:, d - 1, new_spec.letter_index(BLANK)] = src[:, z] * d
+    classes[:, :, new_spec.star_index] = src[:, spec.star_index, None] * d + np.arange(d)
+    accepting = frozenset(q * d + i for q in aut.accepting for i in range(d))
+    fixed = Automaton(new_spec, n * d + 1, aut.initial * d, accepting, table)
+    return SequentialFixedAutomaton(fixed, z, n, d)

@@ -9,10 +9,18 @@ Refining the color partition with plain Moore/Hopcroft steps then yields
 the minimal weak automaton together with its morphism.
 
 Partition refinement runs as vectorized signature-splitting rounds over
-numpy arrays; each round sorts the (block, successor blocks) rows, so
-the engine is deterministic.  Worst-case round count is linear, but on
-the automata handled here the refinement depth stays logarithmic; see
-the empirical scaling test in the acceptance suite.
+the automaton's transition array; each round ranks the (block,
+successor blocks) signatures in lexicographic order, so the engine is
+deterministic.  The round count is linear in the worst case: a unary
+counter of ``M`` states needs one round per state.  Measured from the
+colors to the stable partition, ``gen_residue_rva(6911)`` and
+``gen_interval_rva(25086)`` take 15 rounds and the 8207-state
+sequential product of two residue automata 17.
+
+Quotients, unions and classes stay arrays: the minimal automaton's
+table is one gather of block ids, a union stacks its members' tables
+with state offsets, and :class:`EquivalenceTable` keeps one class array
+per automaton.
 
 The rounds also hold short distinguishing words: two states first split
 in round ``k`` have a letter whose successors are apart in round
@@ -24,6 +32,7 @@ without building the product of two automata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,12 +43,13 @@ def normalized_colors(aut: Automaton, info: SccInfo | None = None):
     """Canonical per-state color; parity of a recurrent color is acceptance."""
     info = info or sccs(aut)
     width = aut.alphabet.num_letters
+    delta = aut.delta
     color = [0] * info.num_sccs
     # components arrive sinks-first, so successors are already colored
     for cid, comp in enumerate(info.components):
         succ_max = -1
         for q in comp:
-            row = aut.delta[q]
+            row = delta[q]
             for i in range(width):
                 t = info.scc_of[row[i]]
                 if t != cid and color[t] > succ_max:
@@ -53,51 +63,81 @@ def normalized_colors(aut: Automaton, info: SccInfo | None = None):
     return [color[info.scc_of[q]] for q in range(aut.n)]
 
 
-def _refinement_rounds(delta_array, labels):
+_PACK_LIMIT = 1 << 62  # packed signature codes stay below this
+
+
+def _rank(codes, span):
+    """Dense ranks of non-negative ``codes`` below ``span``, in code order.
+
+    Linear (a bincount over the range) while ``span`` is within
+    ``2n + 64`` of the ``n`` codes, a sort beyond it; same ids either
+    way.  The bound keeps the bincount's arrays near the size of the
+    codes.
+    """
+    if span <= 2 * len(codes) + 64:
+        lookup = np.cumsum(np.bincount(codes, minlength=span) > 0, dtype=np.int64)
+        lookup -= 1
+        return lookup[codes]
+    return np.unique(codes, return_inverse=True)[1].astype(np.int64, copy=False)
+
+
+def _refinement_rounds(table, labels):
     """Moore refinement of ``labels``, one partition per round.
 
-    ``delta_array`` is the dense ``n x letters`` successor table.  Round
-    0 ranks the labels; each later round splits the blocks of the round
+    ``table`` is the dense ``n x letters`` successor array.  Round 0
+    ranks the labels; each later round splits the blocks of the round
     before by the blocks of every letter's successor, so two states
     share a round-``k`` block exactly when no word of length at most
     ``k`` leads them to different labels.  The last partition yielded is
-    stable.  Signatures are folded one letter at a time into packed
-    integer codes, so each round costs a few one-dimensional sorts; ids
-    are deterministic.
+    stable.
+
+    A state's signature (its block, then its successors' blocks letter
+    by letter) is folded into integer codes a few letters at a time, as
+    mixed-radix numbers, and the codes are re-ranked after each fold.
+    Ranks keep the lexicographic order of the signatures, so the ids are
+    deterministic.  A fold takes as many letters as keep the codes in
+    the range :func:`_rank` handles in linear time; once the blocks
+    alone exceed that range, it takes as many as fit in 62 bits, for
+    one sort.  A round costs a few numpy calls, not a few per letter.
     """
-    n, width = delta_array.shape
-    block = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)[1]
-    block = block.astype(np.int64, copy=False)
-    num = int(block.max()) + 1 if n else 0
+    n, width = table.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    low = labels.min()
+    block = _rank(labels - low, int(labels.max() - low) + 1)
+    num = int(block.max()) + 1
+    dense = 2 * n + 64  # the range _rank ranks in linear time
     while True:
         yield block
         code = block
         distinct = num
-        for i in range(width):
-            packed = code * num + block[delta_array[:, i]]
-            span = distinct * num
-            if span <= 4 * n + 64:
-                # dense re-ranking; same ids as np.unique at linear cost
-                counts = np.bincount(packed, minlength=span)
-                lookup = np.cumsum(counts > 0, dtype=np.int64) - 1
-                code = lookup[packed]
-            else:
-                _, code = np.unique(packed, return_inverse=True)
-                code = code.astype(np.int64, copy=False)
-            distinct = int(code.max()) + 1 if n else 0
+        i = 0
+        while i < width:
+            # fold letters i..j-1: as many as keep the codes in a range
+            # that bincount can rank, else as many as fit a sort key
+            cap = dense if distinct * num <= dense else _PACK_LIMIT
+            span, j = distinct * num, i + 1
+            while j < width and span * num <= cap:
+                span *= num
+                j += 1
+            packed = code
+            for letter in range(i, j):
+                packed = packed * num + block[table[:, letter]]
+            code = _rank(packed, span)
+            distinct = int(code.max()) + 1
+            i = j
         if distinct == num:
             return
         block = code
         num = distinct
 
 
-def refine_partition(delta_array, labels):
+def refine_partition(table, labels):
     """Coarsest refinement of ``labels`` stable under every letter.
 
     The result maps each state to a block id: the last round of
     :func:`_refinement_rounds`.
     """
-    for block in _refinement_rounds(delta_array, labels):
+    for block in _refinement_rounds(table, labels):
         pass
     return block
 
@@ -127,47 +167,53 @@ def minimize_weak(aut: Automaton, info: SccInfo | None = None) -> Morphism:
     if not is_weak(aut, info):
         raise ValueError("minimization requires a weak automaton")
     colors = normalized_colors(aut, info)
-    block = refine_partition(aut.delta_array, colors).tolist()
-    # block ids are dense; walking the states backwards leaves each
-    # block's smallest state as its representative
-    rep = dict(zip(reversed(block), range(aut.n - 1, -1, -1)))
+    block = refine_partition(aut.table, colors)
+    num = int(block.max()) + 1
+    # the partition is stable, so any member's row gives its block's row
+    rep = np.empty(num, dtype=np.int64)
+    rep[block] = np.arange(aut.n)
+    succ = block[aut.table[rep]]
 
-    new_id = [-1] * len(rep)
-    order = []
-
-    def visit(b):
+    rows = succ.tolist()
+    new_id = [-1] * num
+    order = [int(block[aut.initial])]
+    new_id[order[0]] = 0
+    for b in order:
+        for t in rows[b]:
+            if new_id[t] < 0:
+                new_id[t] = len(order)
+                order.append(t)
+    for b in range(num):  # unreachable blocks keep deterministic ids too
         if new_id[b] < 0:
             new_id[b] = len(order)
             order.append(b)
 
-    visit(block[aut.initial])
-    head = 0
-    while head < len(order):
-        b = order[head]
-        head += 1
-        for t in aut.delta[rep[b]]:
-            visit(block[t])
-    for b in range(len(rep)):  # unreachable blocks keep deterministic ids too
-        visit(b)
-
-    delta = [[new_id[block[t]] for t in aut.delta[rep[b]]] for b in order]
-    accepting = frozenset(new_id[block[q]] for q in info.accepting_recurrent_states())
+    ids = np.array(new_id)
+    state_of = ids[block]  # source state -> target state
+    accepting = state_of[info.accepting_recurrent_states()]
     target = Automaton(
-        aut.alphabet, len(order), new_id[block[aut.initial]], accepting, delta
+        aut.alphabet,
+        num,
+        int(state_of[aut.initial]),
+        frozenset(accepting.tolist()),
+        ids[succ[order]],
     )
-    mapping = tuple([new_id[b] for b in block])
-    return Morphism(aut, target, mapping)
+    return Morphism(aut, target, tuple(state_of.tolist()))
 
 
 @dataclass(frozen=True)
 class EquivalenceTable:
-    """Constant-time cross-automaton state-language equality queries."""
+    """Constant-time cross-automaton state-language equality queries.
+
+    ``classes[i]`` is an integer array: the class of each state of the
+    ``i``-th automaton.
+    """
 
     automata: tuple
-    classes: tuple  # one tuple of block ids per automaton
+    classes: tuple
 
     def same_language(self, i, q, j, p):
-        return self.classes[i][q] == self.classes[j][p]
+        return bool(self.classes[i][q] == self.classes[j][p])
 
 
 def _weak_union(automata):
@@ -182,20 +228,17 @@ def _weak_union(automata):
     if any(a.alphabet != spec for a in automata):
         raise ValueError("automata must share an alphabet")
 
-    offsets = []
-    delta = []
-    accepting = set()
-    for a in automata:
-        off = len(delta)
-        offsets.append(off)
-        delta += [[t + off for t in row] for row in a.delta]
-        accepting.update(q + off for q in a.accepting)
-    union = Automaton(spec, len(delta), automata[0].initial, frozenset(accepting), delta)
+    offsets = list(accumulate((a.n for a in automata), initial=0))
+    table = np.concatenate([a.table + off for a, off in zip(automata, offsets)])
+    accepting = frozenset(
+        q + off for a, off in zip(automata, offsets) for q in a.accepting
+    )
+    union = Automaton(spec, offsets[-1], automata[0].initial, accepting, table)
 
     info = sccs(union)
     if not is_weak(union, info):
         raise ValueError("automata must be weak")
-    return union, offsets, info
+    return union, offsets[:-1], info
 
 
 def joint_equivalence(automata) -> EquivalenceTable:
@@ -209,10 +252,8 @@ def joint_equivalence(automata) -> EquivalenceTable:
     automata = list(automata)
     union, offsets, info = _weak_union(automata)
     colors = normalized_colors(union, info)
-    block = refine_partition(union.delta_array, colors).tolist()
-    classes = tuple(
-        tuple(block[off : off + a.n]) for off, a in zip(offsets, automata)
-    )
+    block = refine_partition(union.table, colors)
+    classes = tuple(block[off : off + a.n] for off, a in zip(offsets, automata))
     return EquivalenceTable(tuple(automata), classes)
 
 
@@ -272,7 +313,7 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
     color = normalized_colors(union, info)
     x, y = q, p + off
     rounds = []  # the rounds before the one that splits q and p
-    for block in _refinement_rounds(union.delta_array, color):
+    for block in _refinement_rounds(union.table, color):
         if block[x] != block[y]:
             break
         rounds.append(block)

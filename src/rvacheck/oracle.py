@@ -157,11 +157,12 @@ def distinguishing_lasso(a: Automaton, q: int, b: Automaton, p: int):
     width = a.alphabet.num_letters
     info_a = sccs(a)
     info_b = sccs(b)
+    delta_a, delta_b = a.delta, b.delta
 
     def succ(node):
         x, y = node
         return [
-            (i, (a.delta[x][i], b.delta[y][i])) for i in range(width)
+            (i, (delta_a[x][i], delta_b[y][i])) for i in range(width)
         ]
 
     def bad(order, comp):
@@ -264,12 +265,13 @@ def shape_violation_word(aut: Automaton, depth_cap=None):
     width = spec.num_letters
     star = spec.star_index
     info = sccs(aut)
+    delta = aut.delta
 
     def succ(node):
         q, mon = node
         out = []
         for i in range(width):
-            out.append((i, (aut.delta[q][i], _monitor_step(mon, i == star, d_seq))))
+            out.append((i, (delta[q][i], _monitor_step(mon, i == star, d_seq))))
         return out
 
     def bad(order, comp):
@@ -302,9 +304,10 @@ def pad_violation(aut: Automaton, depth_cap=None):
     star = spec.star_index
     info = sccs(aut)
     zero = spec.letter_index(spec.zero_letter())
+    delta = aut.delta
     padded_start = aut.initial
     for _ in range(d_seq):
-        padded_start = aut.delta[padded_start][zero]
+        padded_start = delta[padded_start][zero]
     if padded_start == aut.initial:
         return None
 
@@ -315,7 +318,7 @@ def pad_violation(aut: Automaton, depth_cap=None):
             nmon = _monitor_step(mon, i == star, d_seq)
             if nmon[0] == 2:
                 continue  # word would stop being a valid encoding
-            out.append((i, (aut.delta[x][i], aut.delta[y][i], nmon)))
+            out.append((i, (delta[x][i], delta[y][i], nmon)))
         return out
 
     def bad(order, comp):
@@ -385,6 +388,7 @@ def dual_violation(aut: Automaton, f: int, depth_cap=None):
     info = sccs(aut)
     flip, forced = _dual_pairs(spec, f)
     sequential = spec.kind == SEQUENTIAL
+    delta = aut.delta
 
     def succ(node):
         x, y, phase, mon = node
@@ -394,23 +398,23 @@ def dual_violation(aut: Automaton, f: int, depth_cap=None):
             if nmon[0] == 2:
                 continue
             if i == star:
-                out.append(((i, i), (aut.delta[x][star], aut.delta[y][star], phase, nmon)))
+                out.append(((i, i), (delta[x][star], delta[y][star], phase, nmon)))
                 continue
             if phase == 0:
-                out.append(((i, i), (aut.delta[x][i], aut.delta[y][i], 0, nmon)))
+                out.append(((i, i), (delta[x][i], delta[y][i], 0, nmon)))
                 j = flip.get(i)
                 if j is not None and (not sequential or mon[1] == f):
-                    out.append(((i, j), (aut.delta[x][i], aut.delta[y][j], 1, nmon)))
+                    out.append(((i, j), (delta[x][i], delta[y][j], 1, nmon)))
             else:
                 if sequential and mon[1] != f:
-                    out.append(((i, i), (aut.delta[x][i], aut.delta[y][i], 1, nmon)))
+                    out.append(((i, i), (delta[x][i], delta[y][i], 1, nmon)))
         if phase == 1:
             stars_seen, cls = mon
             for i, j in forced:
                 if sequential and cls != f:
                     continue
                 nmon = _monitor_step(mon, False, d_seq)
-                out.append(((i, j), (aut.delta[x][i], aut.delta[y][j], 1, nmon)))
+                out.append(((i, j), (delta[x][i], delta[y][j], 1, nmon)))
         return out
 
     def bad(order, comp):
@@ -487,6 +491,7 @@ def saturation_oracle(aut: Automaton, sample_bound=None) -> Verdict:
 def _access_words(aut: Automaton):
     """Letter-index paths from the initial state to every reachable state."""
     width = aut.alphabet.num_letters
+    delta = aut.delta
     paths = {aut.initial: ()}
     queue = [aut.initial]
     head = 0
@@ -494,7 +499,7 @@ def _access_words(aut: Automaton):
         q = queue[head]
         head += 1
         for i in range(width):
-            t = aut.delta[q][i]
+            t = delta[q][i]
             if t not in paths:
                 paths[t] = paths[q] + (i,)
                 queue.append(t)
@@ -505,9 +510,10 @@ def accepted_lasso_from(aut: Automaton, state: int):
     """Some lasso accepted from ``state``, or None (weak automata)."""
     info = sccs(aut)
     width = aut.alphabet.num_letters
+    delta = aut.delta
 
     def succ(node):
-        return [(i, aut.delta[node][i]) for i in range(width)]
+        return [(i, delta[node][i]) for i in range(width)]
 
     def bad(order, comp):
         return info.accepting[info.scc_of[order[comp[0]]]]
@@ -712,15 +718,16 @@ def parallelize_automaton(aut: Automaton) -> Automaton:
         raise ValueError("can only parallelize an unfixed sequential automaton")
     new_spec = AlphabetSpec(spec.base, spec.dim, PARALLEL)
     star_old = spec.star_index
+    src = aut.delta
     delta = []
     for q in range(aut.n):
         row = []
         for letter in new_spec.digit_letters():
             t = q
             for a in letter:
-                t = aut.delta[t][a]
+                t = src[t][a]
             row.append(t)
-        row.append(aut.delta[q][star_old])
+        row.append(src[q][star_old])
         delta.append(row)
     return Automaton(new_spec, aut.n, aut.initial, aut.accepting, delta)
 

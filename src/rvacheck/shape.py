@@ -69,11 +69,12 @@ def _mod_states_counted(aut: Automaton, d_seq: int):
     members[0].add(aut.initial)
     todo = [(aut.initial, 0)]
     visits = 0
+    delta = aut.delta
     while todo:
         q, i = todo.pop()
         visits += 1
         j = (i + 1) % d_seq
-        row = aut.delta[q]
+        row = delta[q]
         for li in range(star):
             t = row[li]
             if t not in members[j]:
@@ -85,17 +86,18 @@ def _mod_states_counted(aut: Automaton, d_seq: int):
 def fra_states(aut: Automaton, mods) -> frozenset:
     """Least digit-closed set containing every separator successor of the mod states."""
     star = aut.alphabet.star_index
+    delta = aut.delta
     seen = set()
     todo = []
     for part in mods:
         for q in part:
-            t = aut.delta[q][star]
+            t = delta[q][star]
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
     while todo:
         q = todo.pop()
-        row = aut.delta[q]
+        row = delta[q]
         for li in range(star):
             t = row[li]
             if t not in seen:

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ from rvacheck import (
     fix_parallel,
     fix_sequential,
     parse_automaton,
+    aut_io,
     serialize_automaton,
 )
 from rvacheck.cli import main
@@ -146,6 +148,28 @@ class TestFormat:
         path.write_text(text)
         assert main(["check", str(path), "--mode", "parallel"]) == 2
 
+    def test_declared_table_over_budget_is_refused(self, monkeypatch, fig2_text, tmp_path):
+        # fig2 declares 7 states x 4 letters = 28 transitions
+        monkeypatch.setattr(aut_io, "MAX_TABLE_CELLS", 28)
+        assert parse_automaton(fig2_text, complete_with_sink=True).n == 7
+        monkeypatch.setattr(aut_io, "MAX_TABLE_CELLS", 27)
+        # a complete file is as large as its lines: only completion is held
+        assert parse_automaton(fig2_text).n == 7
+        with pytest.raises(AutomatonFormatError) as err:
+            parse_automaton(fig2_text, complete_with_sink=True)
+        assert "budget of 27" in str(err.value) and "= 28 transitions" in str(err.value)
+        path = tmp_path / "fig2.rva"
+        path.write_text(fig2_text)
+        assert main(["check", str(path), "--mode", "parallel", "--complete-with-sink"]) == 2
+        # the letter count alone is held to the budget, with or without
+        # completion, and b^d is not computed beyond it
+        for dim in ("4", "1000000000"):
+            wide = fig2_text.replace("dim: 1", "dim: " + dim)
+            with pytest.raises(AutomatonFormatError) as err:
+                parse_automaton(wide)
+            assert f"3^{dim} + 1 letters" in str(err.value)
+            assert "budget of 27" in str(err.value)
+
     def test_error_carries_line_number(self):
         text = (
             "rva-automaton v1\nbase: x\ndim: 1\nencoding: parallel\n"
@@ -154,6 +178,15 @@ class TestFormat:
         with pytest.raises(AutomatonFormatError) as err:
             parse_automaton(text)
         assert err.value.line == 2
+
+
+# states 2 and 3 form an unreachable cycle where only 3 accepts
+UNREACHABLE_NON_WEAK = (
+    "rva-automaton v1\nbase: 2\ndim: 1\nencoding: parallel\n"
+    "states: 4\ninitial: 0\naccepting: 1 3\ntransitions:\n"
+    "0 0 -> 0\n0 1 -> 1\n0 * -> 1\n1 0 -> 1\n1 1 -> 1\n1 * -> 1\n"
+    "2 0 -> 3\n2 1 -> 3\n2 * -> 3\n3 0 -> 2\n3 1 -> 2\n3 * -> 2\n"
+)
 
 
 def run_cli(*argv):
@@ -165,7 +198,46 @@ def run_cli(*argv):
     return proc
 
 
+def run_cli_optimized(*argv):
+    """The CLI under ``python -O`` (no asserts), in 2 GiB of address space."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "rvacheck.cli", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+    )
+
+
 class TestCli:
+    def test_guards_hold_without_asserts(self, fig2_text, tmp_path):
+        huge = fig2_text.replace("states: 7", "states: 1000000000000")
+        cases = {
+            "fig2": (fig2_text, 1),
+            "out-of-range": (fig2_text.replace("0 0 -> 1", "0 0 -> 9"), 2),
+            "wrong-width": (fig2_text.replace("0 0 -> 1", "0 0,0 -> 1"), 2),
+            "over-budget": (huge, 2),
+        }
+        for name, (text, code) in cases.items():
+            path = tmp_path / f"{name}.rva"
+            path.write_text(text)
+            proc = run_cli_optimized(
+                "check", str(path), "--mode", "parallel", "--complete-with-sink"
+            )
+            assert proc.returncode == code, (name, proc.stderr)
+            assert "Traceback" not in proc.stderr, name
+        assert "budget" in proc.stderr
+
+    def test_classify_decides_weakness_on_the_reachable_part(self, tmp_path):
+        path = tmp_path / "part.rva"
+        path.write_text(UNREACHABLE_NON_WEAK)
+        proc = run_cli("classify", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["weak"] is True
+
     def test_check_failure_exit_code_and_witness(self):
         proc = run_cli("check", str(FIG2_PATH), "--mode", "parallel", "--json")
         assert proc.returncode == 1
@@ -221,15 +293,8 @@ class TestCli:
         assert small.n == 5
 
     def test_minimize_ignores_unreachable_non_weak_part(self, tmp_path):
-        # states 2 and 3 form an unreachable cycle where only 3 accepts
-        text = (
-            "rva-automaton v1\nbase: 2\ndim: 1\nencoding: parallel\n"
-            "states: 4\ninitial: 0\naccepting: 1 3\ntransitions:\n"
-            "0 0 -> 0\n0 1 -> 1\n0 * -> 1\n1 0 -> 1\n1 1 -> 1\n1 * -> 1\n"
-            "2 0 -> 3\n2 1 -> 3\n2 * -> 3\n3 0 -> 2\n3 1 -> 2\n3 * -> 2\n"
-        )
         path = tmp_path / "part.rva"
-        path.write_text(text)
+        path.write_text(UNREACHABLE_NON_WEAK)
         proc = run_cli("minimize", str(path), "--json")
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)

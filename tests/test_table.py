@@ -1,0 +1,244 @@
+"""The array-backed table against row-by-row reference loops.
+
+Fixings, unions, refinement and the dual-tail tests read the ``n x
+letters`` array with gathers; each is compared here with the plain loop
+over Python rows that defines it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rvacheck import (
+    AlphabetSpec,
+    Automaton,
+    fix_parallel,
+    fix_sequential,
+    joint_equivalence,
+    minimize_weak,
+    serialize_automaton,
+    trim_accessible,
+)
+from rvacheck.alphabet import BLANK, PARALLEL, SEQUENTIAL
+from rvacheck.check import _bump, _dual_tails, _first_mismatch, _sequential_tails
+from rvacheck.minimize import normalized_colors, refine_partition
+from rvacheck.oracle import (
+    gen_random_sequential_shaped,
+    gen_random_weak,
+    parallelize_automaton,
+)
+from rvacheck.verdict import PairMismatch
+
+
+@st.composite
+def weak_automata(draw):
+    """Random weak automata and shaped ones, base 2-3, dimension 1-2."""
+    seed = draw(st.integers(0, 10**6))
+    base = draw(st.sampled_from([2, 3]))
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["weak", "shaped", "parallelized"]))
+    if kind == "weak":
+        encoding = draw(st.sampled_from([PARALLEL, SEQUENTIAL]))
+        return gen_random_weak(draw(st.integers(1, 8)), base, dim, encoding, seed)
+    shaped = gen_random_sequential_shaped(draw(st.integers(4, 40)), base, dim, seed)
+    return shaped if kind == "shaped" else parallelize_automaton(shaped)
+
+
+def minimal(aut):
+    trimmed, _ = trim_accessible(aut)
+    return minimize_weak(trimmed).target
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+
+
+def fix_parallel_rows(aut, f, z):
+    spec = aut.alphabet
+    new_spec = AlphabetSpec(spec.base, spec.dim, PARALLEL, spec.fixed | {f})
+    filled = [
+        spec.letter_index(tuple(z if i == f else sym for i, sym in enumerate(letter)))
+        for letter in new_spec.digit_letters()
+    ]
+    rows = [[row[i] for i in filled] + [row[spec.star_index]] for row in aut.delta]
+    return Automaton(new_spec, aut.n, aut.initial, aut.accepting, rows)
+
+
+def fix_sequential_rows(aut, z):
+    spec = aut.alphabet
+    d = spec.dim
+    new_spec = AlphabetSpec(spec.base, d, SEQUENTIAL, frozenset({d - 1}))
+    sink = aut.n * d
+    width = new_spec.num_letters
+    rows = []
+    for q in range(aut.n):
+        for i in range(d):
+            row = [sink] * width
+            if i < d - 1:
+                for a in range(spec.base):
+                    row[a] = aut.delta[q][a] * d + (i + 1)
+            else:
+                row[new_spec.letter_index(BLANK)] = aut.delta[q][z] * d
+            row[new_spec.star_index] = aut.delta[q][spec.star_index] * d + i
+            rows.append(row)
+    rows.append([sink] * width)
+    accepting = frozenset(q * d + i for q in aut.accepting for i in range(d))
+    return Automaton(new_spec, aut.n * d + 1, aut.initial * d, accepting, rows)
+
+
+def union_classes_rows(automata):
+    rows, accepting = [], set()
+    for a in automata:
+        off = len(rows)
+        rows += [[t + off for t in row] for row in a.delta]
+        accepting |= {q + off for q in a.accepting}
+    union = Automaton(automata[0].alphabet, len(rows), automata[0].initial, accepting, rows)
+    block = refine_partition(np.array(rows), normalized_colors(union)).tolist()
+    offsets = np.cumsum([0] + [a.n for a in automata])
+    return [block[off : off + a.n] for off, a in zip(offsets, automata)]
+
+
+def moore_rows(rows, labels):
+    """Moore refinement over Python rows; ids rank signatures in order."""
+
+    def ranks(keys):
+        order = {key: i for i, key in enumerate(sorted(set(keys)))}
+        return [order[key] for key in keys]
+
+    block = ranks(labels)
+    while True:
+        sig = [(block[q], *(block[t] for t in row)) for q, row in enumerate(rows)]
+        split = ranks(sig)
+        if max(split) == max(block):
+            return block
+        block = split
+
+
+def dual_tails_rows(m, f, skip=None):
+    spec = m.alphabet
+    b = spec.base
+    table = joint_equivalence(
+        [fix_parallel(m, f, b - 1).automaton, fix_parallel(m, f, 0).automaton]
+    )
+    for letter in spec.digit_letters():
+        if letter[f] == b - 1:
+            continue
+        bumped = _bump(letter, f)
+        li, lj = spec.letter_index(letter), spec.letter_index(bumped)
+        for q in range(m.n):
+            if q != skip and not table.same_language(0, m.delta[q][li], 1, m.delta[q][lj]):
+                return PairMismatch(f, q, letter, bumped)
+    return None
+
+
+def sequential_tails_rows(m):
+    spec = m.alphabet
+    b = spec.base
+    hi, lo = fix_sequential(m, b - 1), fix_sequential(m, 0)
+    table = joint_equivalence([hi.automaton, lo.automaton])
+    for a in range(b - 1):
+        for q in range(m.n):
+            x = hi.state(m.delta[q][a], 0)
+            y = lo.state(m.delta[q][a + 1], 0)
+            if not table.same_language(0, x, 1, y):
+                return PairMismatch(spec.dim - 1, q, a, a + 1)
+    return None
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_same_automaton(built, reference):
+    assert built.structurally_equal(reference)
+    assert built.delta == reference.delta
+    assert all(type(t) is int for row in built.delta for t in row)
+    assert serialize_automaton(built) == serialize_automaton(reference)
+
+
+@given(weak_automata(), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_fixings_equal_their_row_definition(aut, z):
+    spec = aut.alphabet
+    z = min(z, spec.base - 1)
+    if spec.kind == PARALLEL:
+        for f in range(spec.dim):
+            assert_same_automaton(fix_parallel(aut, f, z).automaton, fix_parallel_rows(aut, f, z))
+    else:
+        assert_same_automaton(fix_sequential(aut, z).automaton, fix_sequential_rows(aut, z))
+
+
+@given(weak_automata())
+@settings(max_examples=60, deadline=None)
+def test_joint_classes_equal_a_list_built_union(aut):
+    spec = aut.alphabet
+    m = minimal(aut)
+    if spec.kind == PARALLEL:
+        pair = [fix_parallel(m, 0, spec.base - 1).automaton, fix_parallel(m, 0, 0).automaton]
+    else:
+        pair = [fix_sequential(m, spec.base - 1).automaton, fix_sequential(m, 0).automaton]
+    for automata in (pair, [m, aut], [aut]):
+        classes = joint_equivalence(automata).classes
+        assert [c.tolist() for c in classes] == union_classes_rows(automata)
+
+
+@given(weak_automata(), st.integers(0, 1500))
+@settings(max_examples=40, deadline=None)
+def test_refinement_equals_moore_loop(aut, extra):
+    # large automata keep more folds in the linear range of _rank
+    if extra > 1000:
+        aut = gen_random_weak(extra, aut.alphabet.base, aut.alphabet.dim, PARALLEL, extra)
+    labels = normalized_colors(aut)
+    assert refine_partition(aut.table, labels).tolist() == moore_rows(aut.delta, labels)
+
+
+@given(weak_automata())
+@settings(max_examples=80, deadline=None)
+def test_vectorized_dual_tails_find_the_loop_first_mismatch(aut):
+    for m in (aut, minimal(aut)):
+        if m.alphabet.kind == SEQUENTIAL:
+            assert _sequential_tails(m) == sequential_tails_rows(m)
+            continue
+        for f in range(m.alphabet.dim):
+            assert _dual_tails(m, f)[1] == dual_tails_rows(m, f)
+            for skip in (m.initial, m.n - 1):
+                assert _dual_tails(m, f, skip)[1] == dual_tails_rows(m, f, skip)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.booleans(), min_size=cols, max_size=cols), min_size=1, max_size=8
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_first_mismatch_scans_letters_then_states(rows):
+    expected = next(
+        ((q, k) for k in range(len(rows[0])) for q in range(len(rows)) if rows[q][k]),
+        None,
+    )
+    assert _first_mismatch(np.array(rows, dtype=bool)) == expected
+
+
+def test_array_built_rows_are_plain_ints():
+    aut = gen_random_weak(6, 3, 2, PARALLEL, 7)
+    built = Automaton(aut.alphabet, aut.n, aut.initial, aut.accepting, np.array(aut.delta))
+    assert_same_automaton(built, aut)
+    assert built.delta is built.delta  # materialized once
+    assert aut.delta is aut.delta  # rows given are kept as the view
+    assert aut.table is aut.table and np.array_equal(aut.table, built.table)
+
+
+def test_rows_and_arrays_are_validated_alike():
+    spec = AlphabetSpec(2, 1)
+    too_large = [[0, 1, 2], [0, 0, 0]]
+    negative = [[0, 1, -1], [0, 0, 0]]
+    for rows in (too_large, negative):
+        for delta in (rows, np.array(rows)):
+            with pytest.raises(ValueError, match="transition target out of range"):
+                Automaton(spec, 2, 0, frozenset(), delta)
+    with pytest.raises(ValueError, match="state 1: expected 3 transitions, got 2"):
+        Automaton(spec, 2, 0, frozenset(), [[0, 1, 1], [0, 0]])
+    with pytest.raises(ValueError, match="must be 2 x 3"):
+        Automaton(spec, 2, 0, frozenset(), np.zeros((2, 2), dtype=np.int64))
