@@ -5,7 +5,6 @@ from .automaton import (
     Automaton,
     SccInfo,
     is_weak,
-    predecessor_lists,
     sccs,
     trim_accessible,
 )
@@ -22,6 +21,7 @@ from .minimize import (
     Morphism,
     distinguishing_word,
     joint_equivalence,
+    minimal_form,
     minimize_weak,
 )
 from .oracle import (
@@ -33,7 +33,7 @@ from .oracle import (
     saturation_oracle,
     state_lang_equal_bruteforce,
 )
-from .shape import ShapeSets, check_shape, empty_states, fra_states, is_d_parallel, is_d_sequential, mod_states
+from .shape import check_minimal_shape, check_shape, dead_sink, fra_states, is_d_parallel, is_d_sequential, mod_states
 from .verdict import Verdict
 from .words import (
     LassoWord,

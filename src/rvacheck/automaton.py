@@ -286,12 +286,3 @@ def trim_accessible(aut: Automaton):
         aut.alphabet, len(order), remap[aut.initial], accepting, new_id[aut.table[kept]]
     )
     return trimmed, remap
-
-
-def predecessor_lists(aut: Automaton):
-    """``preds[q]`` lists the states with some transition into ``q``."""
-    preds = [set() for _ in range(aut.n)]
-    for q, row in enumerate(aut.delta):
-        for t in row:
-            preds[t].add(q)
-    return [sorted(s) for s in preds]

@@ -16,10 +16,10 @@ the first violated one.
 from __future__ import annotations
 
 from .alphabet import PARALLEL, SEQUENTIAL
-from .automaton import Automaton, is_weak, sccs, trim_accessible
+from .automaton import Automaton
 from .fixing import fix_parallel, fix_sequential
-from .minimize import joint_equivalence, minimize_weak
-from .shape import check_shape, empty_states
+from .minimize import joint_equivalence, minimal_form
+from .shape import check_minimal_shape, dead_sink
 from .verdict import (
     ComplementInitialLanguage,
     ComplementPrefix,
@@ -28,15 +28,6 @@ from .verdict import (
     Verdict,
     ZeroLoopBroken,
 )
-
-
-def _minimal_form(aut):
-    """Trim, then quotient; returns None when the reachable part is not weak."""
-    trimmed, _ = trim_accessible(aut)
-    info = sccs(trimmed)
-    if not is_weak(trimmed, info):
-        return None
-    return minimize_weak(trimmed, info).target
 
 
 def _bump(letter, f):
@@ -114,13 +105,13 @@ def check_rva_parallel(aut: Automaton) -> Verdict:
     spec = aut.alphabet
     if spec.kind != PARALLEL or spec.fixed:
         raise ValueError("parallel check needs an unfixed parallel alphabet")
-    m = _minimal_form(aut)
+    m = minimal_form(aut)
     if m is None:
         return Verdict(False, NotWeak())
 
-    shape = check_shape(m, spec.dim, 1)
+    shape = check_minimal_shape(m, spec.dim, 1)
     if not shape:
-        return Verdict(False, shape.witness, minimized=m)
+        return shape
 
     zero = spec.letter_index(spec.zero_letter())
     if m.delta[m.initial][zero] != m.initial:
@@ -138,13 +129,13 @@ def check_rva_sequential(aut: Automaton) -> Verdict:
     spec = aut.alphabet
     if spec.kind != SEQUENTIAL or spec.fixed:
         raise ValueError("sequential check needs an unfixed sequential alphabet")
-    m = _minimal_form(aut)
+    m = minimal_form(aut)
     if m is None:
         return Verdict(False, NotWeak())
 
-    shape = check_shape(m, 1, spec.dim)
+    shape = check_minimal_shape(m, 1, spec.dim)
     if not shape:
-        return Verdict(False, shape.witness, minimized=m)
+        return shape
 
     q = m.initial
     for _ in range(spec.dim):
@@ -184,7 +175,7 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
     spec = aut.alphabet
     if spec.kind != PARALLEL or spec.fixed:
         raise ValueError("complement check needs an unfixed parallel alphabet")
-    m = _minimal_form(aut)
+    m = minimal_form(aut)
     if m is None:
         return Verdict(False, NotWeak())
     b = spec.base
@@ -194,7 +185,6 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
         for letter in spec.digit_letters()
         if all(sym in (0, b - 1) for sym in letter)
     ]
-    sign_set = set(sign_letters)
 
     for letter in sign_letters:
         li = spec.letter_index(letter)
@@ -202,13 +192,10 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
         if m.delta[once][li] != once:
             return Verdict(False, ZeroLoopBroken(once), minimized=m)
 
-    dead = empty_states(m)
-    for letter in spec.letters():
-        if letter in sign_set:
-            continue
-        li = spec.letter_index(letter)
-        if m.delta[m.initial][li] not in dead:
-            return Verdict(False, ComplementPrefix(letter), minimized=m)
+    others = [letter for letter in spec.letters() if letter not in sign_letters]
+    live = m.table[m.initial, [spec.letter_index(x) for x in others]] != dead_sink(m)
+    if live.any():
+        return Verdict(False, ComplementPrefix(others[int(live.argmax())]), minimized=m)
 
     for f in range(spec.dim):
         table, mismatch = _dual_tails(m, f, skip=m.initial)

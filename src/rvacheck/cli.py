@@ -21,9 +21,9 @@ from .check import (
     check_rva_parallel,
     check_rva_sequential,
 )
-from .minimize import minimize_weak
+from .minimize import minimal_form, minimize_weak
 from .oracle import expand_witness, gen_known_rva, saturation_oracle
-from .shape import is_d_parallel, is_d_sequential
+from .shape import check_minimal_shape
 from .words import format_lasso, parse_lasso
 
 CHECKS = {
@@ -100,10 +100,11 @@ def cmd_check(args):
 def cmd_classify(args):
     aut = _load(args)
     start = time.perf_counter()
-    trimmed, _ = trim_accessible(aut)
-    weak = is_weak(trimmed)
-    par = is_d_parallel(trimmed) if aut.alphabet.kind == PARALLEL else None
-    seq = is_d_sequential(trimmed) if aut.alphabet.kind == SEQUENTIAL else None
+    m = minimal_form(aut)
+    weak = m is not None
+    spec = aut.alphabet
+    par = check_minimal_shape(m, spec.dim, 1) if weak and spec.kind == PARALLEL else None
+    seq = check_minimal_shape(m, 1, spec.dim) if weak and spec.kind == SEQUENTIAL else None
     elapsed = time.perf_counter() - start
     payload = {
         "weak": weak,

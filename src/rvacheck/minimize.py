@@ -36,7 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .automaton import Automaton, SccInfo, is_weak, sccs
+from .automaton import Automaton, SccInfo, is_weak, sccs, trim_accessible
 
 
 def normalized_colors(aut: Automaton, info: SccInfo | None = None):
@@ -199,6 +199,19 @@ def minimize_weak(aut: Automaton, info: SccInfo | None = None) -> Morphism:
         ids[succ[order]],
     )
     return Morphism(aut, target, tuple(state_of.tolist()))
+
+
+def minimal_form(aut: Automaton):
+    """Trim, then quotient; returns None when the reachable part is not weak.
+
+    The result is the minimal weak automaton of the language, with the
+    numbering of :func:`minimize_weak`.
+    """
+    trimmed, _ = trim_accessible(aut)
+    info = sccs(trimmed)
+    if not is_weak(trimmed, info):
+        return None
+    return minimize_weak(trimmed, info).target
 
 
 @dataclass(frozen=True)

@@ -1,59 +1,47 @@
-"""State sets and decision procedures for encoding-shaped languages.
+"""Encoding-shape decision on the minimal weak automaton.
 
 An automaton reads valid encodings only when every accepted word carries
 exactly one separator, placed after a number of digits divisible by the
-sequential dimension.  The tests below work on three state sets: the
-states with empty language, the states reached while the digit counter
-is ``i`` modulo ``d_seq``, and the states reachable after a separator.
+sequential dimension.  The test runs on the minimal form ``m`` of the
+automaton (:func:`rvacheck.minimize.minimal_form`) and walks two
+families of its states: the states reached while the digit counter is
+``i`` modulo ``d_seq``, and the states reachable after a separator.
+
+Two facts about ``m`` stand in for an SCC pass and an emptiness sweep:
+
+* **The dead sink.**  The states of ``m`` with empty language share one
+  language, so minimality makes them one state, and its successors have
+  the empty language too.  It is therefore the one non-accepting state
+  that loops on every letter, and a non-accepting state looping on
+  every letter has the empty language.  A state of ``m`` is dead exactly
+  when it is that sink; there is none when every state is live.
+* **Accepting means on an accepting loop.**  A quotient of a weak
+  automaton is weak (Löding, *Efficient minimization of deterministic
+  weak omega-automata*, IPL 2001), and
+  :func:`rvacheck.minimize.minimize_weak` marks accepting exactly the
+  images of accepting-recurrent states.  The image of a loop through
+  such a state is a loop of ``m`` through its image, so every accepting
+  state of ``m`` lies on a loop, and by weakness that loop's component
+  is accepting throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .alphabet import SEQUENTIAL
-from .automaton import Automaton, SccInfo, predecessor_lists, sccs
-from .verdict import NotShape, Verdict
+from .automaton import Automaton
+from .minimize import minimal_form
+from .verdict import NotShape, NotWeak, Verdict
 
 
-@dataclass(frozen=True)
-class ShapeSets:
-    """The three families of states behind the shape decision.
+def dead_sink(m: Automaton) -> int:
+    """The state of a minimal automaton with empty language, or -1 if none.
 
-    ``visits`` counts worklist pops of the modular sweep; it is bounded
-    by ``n * d_seq`` and exposed so tests can hold the implementation to
-    that budget.
+    It is the one non-accepting state whose every transition loops.
     """
-
-    empty_states: frozenset
-    mod_states: tuple
-    fra_states: frozenset
-    visits: int = 0
-
-
-def empty_states(aut: Automaton, info: SccInfo | None = None) -> frozenset:
-    """States whose language is empty.
-
-    Backward worklist sweep: seed with the accepting recurrent states,
-    walk predecessor lists; whatever is never reached cannot bring a run
-    to an accepting loop.
-    """
-    info = info or sccs(aut)
-    preds = predecessor_lists(aut)
-    alive = [False] * aut.n
-    todo = []
-    for cid, comp in enumerate(info.components):
-        if info.accepting[cid]:
-            for q in comp:
-                alive[q] = True
-                todo.append(q)
-    while todo:
-        q = todo.pop()
-        for p in preds[q]:
-            if not alive[p]:
-                alive[p] = True
-                todo.append(p)
-    return frozenset(q for q in range(aut.n) if not alive[q])
+    loops = np.flatnonzero((m.table == np.arange(m.n)[:, None]).all(axis=1))
+    return next((int(q) for q in loops if q not in m.accepting), -1)
 
 
 def mod_states(aut: Automaton, d_seq: int):
@@ -62,6 +50,7 @@ def mod_states(aut: Automaton, d_seq: int):
 
 
 def _mod_states_counted(aut: Automaton, d_seq: int):
+    """:func:`mod_states` plus its worklist pops, at most ``n * d_seq``."""
     if d_seq < 1:
         raise ValueError("d_seq must be positive")
     star = aut.alphabet.star_index
@@ -106,48 +95,49 @@ def fra_states(aut: Automaton, mods) -> frozenset:
     return frozenset(seen)
 
 
-def compute_shape_sets(aut: Automaton, d_seq: int, info: SccInfo | None = None) -> ShapeSets:
-    info = info or sccs(aut)
-    mods, visits = _mod_states_counted(aut, d_seq)
-    return ShapeSets(
-        empty_states=empty_states(aut, info),
-        mod_states=tuple(mods),
-        fra_states=fra_states(aut, mods),
-        visits=visits,
-    )
-
-
-def check_shape(aut: Automaton, d_par: int, d_seq: int) -> Verdict:
-    """Does the automaton accept only words shaped like valid encodings?
+def check_minimal_shape(m: Automaton, d_par: int, d_seq: int) -> Verdict:
+    """Does the minimal weak automaton ``m`` accept only encoding-shaped words?
 
     Required: every separator successor of a fractional state or of a
-    misaligned modular state is dead, and no accepting loop is reachable
-    inside the digit-only region (otherwise some separator-free or
-    infinitely-separated word would be accepted).  The failure witness
-    is an offending state.
+    misaligned modular state is the dead sink, and no accepting state is
+    reachable inside the digit-only region (otherwise some
+    separator-free or infinitely-separated word would be accepted).  The
+    failure witness is the smallest fractional or misaligned modular
+    state whose separator successor is live, else the smallest accepting
+    state of the first modular class that has one.
     """
-    spec = aut.alphabet
+    spec = m.alphabet
     expected_dim = 1 if spec.kind == SEQUENTIAL else spec.dim
     if d_par != expected_dim:
         raise ValueError(
             f"automaton reads {expected_dim}-vector letters, asked to check {d_par}"
         )
-    info = sccs(aut)
-    sets = compute_shape_sets(aut, d_seq, info)
     star = spec.star_index
+    sink = dead_sink(m)
+    mods = mod_states(m, d_seq)
+    suspects = fra_states(m, mods).union(*mods[1:])
+    delta = m.delta
+    live = [q for q in suspects if delta[q][star] != sink]
+    if live:
+        return Verdict(False, NotShape(min(live)), minimized=m)
+    for part in mods:
+        looping = part & m.accepting
+        if looping:
+            return Verdict(False, NotShape(min(looping)), minimized=m)
+    return Verdict(True, minimized=m)
 
-    suspects = set(sets.fra_states)
-    for part in sets.mod_states[1:]:
-        suspects |= part
-    for q in sorted(suspects):
-        if aut.delta[q][star] not in sets.empty_states:
-            return Verdict(False, NotShape(q))
-    for part in sets.mod_states:
-        for q in sorted(part):
-            cid = info.scc_of[q]
-            if info.accepting[cid]:
-                return Verdict(False, NotShape(q))
-    return Verdict(True)
+
+def check_shape(aut: Automaton, d_par: int, d_seq: int) -> Verdict:
+    """Shape test of any automaton, decided on its minimal form.
+
+    Returns ``NotWeak`` when the reachable part is not weak.  Otherwise
+    the verdict is :func:`check_minimal_shape`'s on the minimal form,
+    which it carries as ``minimized``; a witness is a state of it.
+    """
+    m = minimal_form(aut)
+    if m is None:
+        return Verdict(False, NotWeak())
+    return check_minimal_shape(m, d_par, d_seq)
 
 
 def is_d_parallel(aut: Automaton) -> Verdict:

@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from rvacheck import parse_automaton
+from rvacheck import fra_states, mod_states, parse_automaton, sccs
+from rvacheck.verdict import NotShape, Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIG2_PATH = ROOT / "data" / "fig2.rva"
@@ -16,3 +17,49 @@ def fig2():
 @pytest.fixture(scope="session")
 def fig2_text():
     return FIG2_PATH.read_text()
+
+
+def dead_states(aut):
+    """States with empty language, by forward reachability.
+
+    A state is dead iff no accepting-recurrent component is reachable
+    from it.  Holds on any automaton, minimal or not.
+    """
+    acc = set(sccs(aut).accepting_recurrent_states())
+    dead = set()
+    for q in range(aut.n):
+        reach = {q}
+        todo = [q]
+        while todo:
+            s = todo.pop()
+            for t in aut.delta[s]:
+                if t not in reach:
+                    reach.add(t)
+                    todo.append(t)
+        if not reach & acc:
+            dead.add(q)
+    return frozenset(dead)
+
+
+def reference_shape(aut, d_seq):
+    """The shape test on any automaton, from SCC flags and :func:`dead_states`.
+
+    A separator successor of a fractional or misaligned modular state
+    must be dead, and no modular state may lie in an accepting-recurrent
+    component.  The witness is the smallest suspect with a live
+    separator successor, else the first modular state on an accepting
+    loop, classes in order and states in order within each class.
+    """
+    info = sccs(aut)
+    dead = dead_states(aut)
+    star = aut.alphabet.star_index
+    mods = mod_states(aut, d_seq)
+    suspects = set(fra_states(aut, mods)).union(*mods[1:])
+    for q in sorted(suspects):
+        if aut.delta[q][star] not in dead:
+            return Verdict(False, NotShape(q))
+    for part in mods:
+        for q in sorted(part):
+            if info.accepting[info.scc_of[q]]:
+                return Verdict(False, NotShape(q))
+    return Verdict(True)

@@ -32,7 +32,7 @@ from rvacheck.oracle import (
     gen_random_weak,
     parallelize_automaton,
 )
-from rvacheck.shape import compute_shape_sets
+from rvacheck.shape import _mod_states_counted, fra_states
 from rvacheck.words import (
     encodings_of_rational,
     lasso_to_pair,
@@ -40,7 +40,7 @@ from rvacheck.words import (
     sequentialize,
     PairWord,
 )
-from tests.conftest import FIG2_PATH
+from tests.conftest import FIG2_PATH, dead_states
 
 REPORT = "CRITERION {num}: {status} - {text}"
 
@@ -279,21 +279,22 @@ class TestAcceptance:
         for seed in range(30):
             aut = gen_random_weak(1 + seed % 7, 2, 1, "parallel", seed)
             for d_seq in (1, 2):
-                sets = compute_shape_sets(aut, d_seq)
+                mods, visits = _mod_states_counted(aut, d_seq)
+                fra = fra_states(aut, mods)
                 star = aut.alphabet.star_index
-                for i, part in enumerate(sets.mod_states):
+                for i, part in enumerate(mods):
                     for q in part:
                         for li in range(star):
-                            assert aut.delta[q][li] in sets.mod_states[(i + 1) % d_seq]
-                for q in set().union(*sets.mod_states):
-                    assert aut.delta[q][star] in sets.fra_states
-                for q in sets.fra_states:
+                            assert aut.delta[q][li] in mods[(i + 1) % d_seq]
+                for q in set().union(*mods):
+                    assert aut.delta[q][star] in fra
+                for q in fra:
                     for li in range(star):
-                        assert aut.delta[q][li] in sets.fra_states
+                        assert aut.delta[q][li] in fra
                 info = sccs(aut)
-                for q in sets.empty_states:
+                for q in dead_states(aut):
                     assert not info.accepting[info.scc_of[q]]
-                assert sets.visits <= aut.n * d_seq
+                assert visits <= aut.n * d_seq
 
         # fixing preserves weakness
         for seed in range(25):

@@ -11,7 +11,6 @@ from rvacheck import (
     BLANK,
     STAR,
     is_weak,
-    predecessor_lists,
     sccs,
     trim_accessible,
 )
@@ -288,8 +287,3 @@ class TestTrim:
         assert mapping == {0: 0, 1: 1, 3: 2}
         assert trimmed.initial == 2
         assert trimmed.delta == [[0, 0, 0], [1, 1, 1], [1, 0, 2]]
-
-    def test_predecessors(self, fig2):
-        preds = predecessor_lists(fig2)
-        assert preds[3] == [0, 1, 2, 3, 4]
-        assert 5 in preds[6] and 6 in preds[6]

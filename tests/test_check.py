@@ -164,12 +164,12 @@ class TestDim1Check:
 
     def test_emptiness_comparison_alone_would_miss_it(self):
         from rvacheck.fixing import fix_parallel
-        from rvacheck.shape import empty_states
+        from tests.conftest import dead_states
 
         aut = dim1_gap_automaton()
         hi = fix_parallel(aut, 0, 1).automaton
         lo = fix_parallel(aut, 0, 0).automaton
-        dead_hi, dead_lo = empty_states(hi), empty_states(lo)
+        dead_hi, dead_lo = dead_states(hi), dead_states(lo)
         assert all(
             (aut.delta[q][0] in dead_hi) == (aut.delta[q][1] in dead_lo)
             for q in range(aut.n)

@@ -238,6 +238,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["weak"] is True
 
+    def test_classify_reports_null_shape_when_not_weak(self, tmp_path):
+        path = tmp_path / "mixed.rva"
+        path.write_text(
+            "rva-automaton v1\nbase: 2\ndim: 1\nencoding: parallel\n"
+            "states: 2\ninitial: 0\naccepting: 0\ntransitions:\n"
+            "0 0 -> 1\n0 1 -> 1\n0 * -> 1\n1 0 -> 0\n1 1 -> 0\n1 * -> 0\n"
+        )
+        proc = run_cli("classify", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["weak"] is False
+        assert payload["d_parallel"] is None and payload["d_sequential"] is None
+
     def test_check_failure_exit_code_and_witness(self):
         proc = run_cli("check", str(FIG2_PATH), "--mode", "parallel", "--json")
         assert proc.returncode == 1

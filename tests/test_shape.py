@@ -1,18 +1,35 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvacheck import (
     AlphabetSpec,
     Automaton,
+    check_minimal_shape,
+    check_rva_complement_parallel,
+    check_rva_dim1,
+    check_rva_parallel,
+    check_rva_sequential,
     check_shape,
-    empty_states,
+    dead_sink,
     fra_states,
     is_d_parallel,
     is_d_sequential,
+    minimal_form,
+    minimize_weak,
     mod_states,
     sccs,
 )
-from rvacheck.oracle import gen_known_rva, gen_random_weak
-from rvacheck.shape import compute_shape_sets
+from rvacheck.oracle import (
+    gen_known_rva,
+    gen_random_sequential_shaped,
+    gen_random_weak,
+    parallelize_automaton,
+)
+from rvacheck.shape import _mod_states_counted
+from tests.conftest import dead_states, reference_shape
 
 
 @pytest.fixture(scope="module")
@@ -25,43 +42,71 @@ def full_seq_d2():
     return gen_known_rva("full-space", 2, 2, "sequential")
 
 
+def random_corpus(count, seed):
+    """Random weak, sequential-shaped and parallelized-shaped automata, b 2-3, d 1-2."""
+    rng = random.Random(seed)
+    for i in range(count):
+        b, d, s = rng.choice((2, 3)), rng.choice((1, 2)), rng.randrange(1 << 30)
+        kind = i % 3
+        if kind == 0:
+            enc = rng.choice(("parallel", "sequential"))
+            yield gen_random_weak(1 + rng.randrange(8), b, d, enc, s)
+        else:
+            aut = gen_random_sequential_shaped(2 + rng.randrange(24), b, d, s)
+            yield aut if kind == 1 else parallelize_automaton(aut)
+
+
+def renumbered(aut, perm):
+    """The same automaton with state ``q`` renamed ``perm[q]``."""
+    delta = [None] * aut.n
+    for q, row in enumerate(aut.delta):
+        delta[perm[q]] = [perm[t] for t in row]
+    accepting = frozenset(perm[q] for q in aut.accepting)
+    return Automaton(aut.alphabet, aut.n, perm[aut.initial], accepting, delta)
+
+
 class TestEmptyStates:
     def test_full_space_only_sink_dead(self, full_par_d2):
-        assert empty_states(full_par_d2) == frozenset({2})
+        assert dead_states(full_par_d2) == frozenset({2})
+        assert dead_sink(minimal_form(full_par_d2)) == 2
 
     def test_no_accepting_everything_dead(self):
         spec = AlphabetSpec(2, 1)
         aut = Automaton(spec, 2, 0, frozenset(), [[1, 1, 1], [0, 0, 0]])
-        assert empty_states(aut) == frozenset({0, 1})
+        assert dead_states(aut) == frozenset({0, 1})
+        m = minimal_form(aut)
+        assert m.n == 1 and dead_sink(m) == 0
 
     def test_all_accepting_strongly_connected_nothing_dead(self):
         spec = AlphabetSpec(2, 1)
         aut = Automaton(spec, 2, 0, frozenset({0, 1}), [[1, 1, 1], [0, 0, 0]])
-        assert empty_states(aut) == frozenset()
+        assert dead_states(aut) == frozenset()
+        assert dead_sink(minimal_form(aut)) == -1
 
     def test_agrees_with_reachability_semantics(self):
+        # a state is dead iff its image in the quotient is the dead sink
         for seed in range(40):
             aut = gen_random_weak(1 + seed % 7, 2, 1, "parallel", seed)
-            info = sccs(aut)
-            dead = empty_states(aut, info)
-            # independent account: q is dead iff no accepting-recurrent
-            # component is forward reachable from q
-            acc = {
-                q
-                for cid, comp in enumerate(info.components)
-                if info.accepting[cid]
-                for q in comp
-            }
+            morphism = minimize_weak(aut)
+            sink = dead_sink(morphism.target)
+            dead = dead_states(aut)
             for q in range(aut.n):
-                reach = {q}
-                todo = [q]
-                while todo:
-                    s = todo.pop()
-                    for t in aut.delta[s]:
-                        if t not in reach:
-                            reach.add(t)
-                            todo.append(t)
-                assert (q in dead) == (not (reach & acc))
+                assert (q in dead) == (morphism.mapping[q] == sink)
+
+
+class TestMinimalFormFacts:
+    def test_sink_and_accepting_loops_on_minimal_forms(self):
+        for aut in random_corpus(1080, 20261018):
+            m = minimal_form(aut)
+            dead = dead_states(m)
+            assert dead == ({dead_sink(m)} - {-1})
+            assert m.accepting == frozenset(sccs(m).accepting_recurrent_states())
+            spec = m.alphabet
+            d_par = spec.dim if spec.is_parallel else 1
+            for d_seq in (1, 2, 3):
+                expected = reference_shape(m, d_seq)
+                assert check_minimal_shape(m, d_par, d_seq) == expected
+                assert check_shape(aut, d_par, d_seq) == expected
 
 
 class TestModFraSets:
@@ -87,28 +132,27 @@ class TestModFraSets:
         aut = Automaton(spec, 2, 0, frozenset(), [[0, 0, 1], [1, 1, 1]])
         mods = mod_states(aut, 1)
         fra = fra_states(aut, mods)
-        assert fra <= empty_states(aut)
+        assert fra <= dead_states(aut)
 
     def test_fixpoint_recheck(self):
         for seed in range(30):
             for d_seq in (1, 2, 3):
                 aut = gen_random_weak(1 + seed % 6, 2, 1, "parallel", seed)
-                sets = compute_shape_sets(aut, d_seq)
+                mods, visits = _mod_states_counted(aut, d_seq)
                 star = aut.alphabet.star_index
-                mods = sets.mod_states
                 assert aut.initial in mods[0]
                 for i, part in enumerate(mods):
                     for q in part:
                         for li in range(star):
                             assert aut.delta[q][li] in mods[(i + 1) % d_seq]
-                fra = sets.fra_states
+                fra = fra_states(aut, mods)
                 union = set().union(*mods)
                 for q in union:
                     assert aut.delta[q][star] in fra
                 for q in fra:
                     for li in range(star):
                         assert aut.delta[q][li] in fra
-                assert sets.visits <= aut.n * d_seq
+                assert visits <= aut.n * d_seq
 
 
 class TestShapeChecks:
@@ -132,6 +176,15 @@ class TestShapeChecks:
         verdict = is_d_parallel(aut)
         assert not verdict.answer and verdict.witness.kind == "not-shape"
 
+    def test_separator_free_loop_rejected(self):
+        spec = AlphabetSpec(2, 1)
+        # 0^w is accepted; every separator falls into the dead sink, so
+        # only the accepting-loop test can catch it
+        aut = Automaton(spec, 2, 0, frozenset({0}), [[0, 0, 1], [1, 1, 1]])
+        verdict = is_d_parallel(aut)
+        assert verdict == reference_shape(aut, 1)
+        assert not verdict.answer and verdict.witness.state == 0
+
     def test_two_separator_acceptance_rejected(self):
         spec = AlphabetSpec(2, 1)
         # needs two separators before looping in the accepting state
@@ -145,3 +198,54 @@ class TestShapeChecks:
     def test_dimension_mismatch_raises(self, full_par_d2):
         with pytest.raises(ValueError):
             check_shape(full_par_d2, 1, 2)
+
+    def test_non_weak_input_not_weak(self):
+        spec = AlphabetSpec(2, 1)
+        # one component {0, 1}, only half of it accepting
+        aut = Automaton(spec, 2, 0, frozenset({0}), [[1, 1, 1], [0, 0, 0]])
+        for verdict in (check_shape(aut, 1, 1), is_d_parallel(aut)):
+            assert not verdict.answer and verdict.witness.kind == "not-weak"
+
+    def test_witness_is_a_state_of_the_minimal_form(self):
+        spec = AlphabetSpec(2, 1)
+        # state 0 is unreachable; 1 and 2 both accept every word
+        delta = [[0, 0, 0], [2, 2, 2], [1, 1, 1]]
+        aut = Automaton(spec, 3, 1, frozenset({1, 2}), delta)
+        verdict = is_d_parallel(aut)
+        assert verdict.minimized.n == 1
+        assert verdict.witness.state == 0 == verdict.minimized.initial
+
+
+def applicable_checks(aut):
+    """Every check mode that takes the automaton's alphabet, and its shape test."""
+    spec = aut.alphabet
+    if spec.is_parallel:
+        checks = [check_rva_parallel, check_rva_complement_parallel, is_d_parallel]
+    else:
+        checks = [check_rva_sequential, is_d_sequential]
+    return checks + [check_rva_dim1] * (spec.dim == 1)
+
+
+@st.composite
+def automata_and_renumbering(draw):
+    b, d = draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2)))
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(("weak-par", "weak-seq", "shaped-seq", "shaped-par")))
+    if kind.startswith("weak"):
+        enc = "parallel" if kind == "weak-par" else "sequential"
+        aut = gen_random_weak(draw(st.integers(1, 8)), b, d, enc, seed)
+    else:
+        aut = gen_random_sequential_shaped(draw(st.integers(2, 24)), b, d, seed)
+        if kind == "shaped-par":
+            aut = parallelize_automaton(aut)
+    return aut, draw(st.permutations(range(aut.n)))
+
+
+class TestRenumbering:
+    @settings(max_examples=300, deadline=None)
+    @given(automata_and_renumbering())
+    def test_verdicts_invariant_under_renumbering(self, case):
+        aut, perm = case
+        other = renumbered(aut, perm)
+        for check in applicable_checks(aut):
+            assert check(other) == check(aut)
