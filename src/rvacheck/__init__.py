@@ -15,7 +15,7 @@ from .check import (
     check_rva_parallel,
     check_rva_sequential,
 )
-from .fixing import FixedAutomaton, SequentialFixedAutomaton, fix_parallel, fix_sequential
+from .fixing import FixedAutomaton, dual_fixings, fix_parallel, fix_sequential
 from .minimize import (
     EquivalenceTable,
     Morphism,

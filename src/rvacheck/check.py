@@ -5,9 +5,12 @@ minimization, (1) it only accepts encoding-shaped words, (2) the initial
 state absorbs the all-zero letter, and (3) for every accessible state
 the two residual languages obtained by bumping one component of a digit
 and fixing the tails to ``b-1`` respectively ``0`` coincide.  Condition
-(3) is decided through joint minimization of the two fixed automata.
-The dimension-1 check is no separate procedure: it runs the general
-check of its alphabet's encoding.
+(3) is decided through joint minimization of the two fixed automata,
+by one dual-tail test for every mode: each component of a parallel
+automaton, the last component of a sequential one (its digit class
+rides in the fixing's states), and in the complement mode away from the
+initial state.  The dimension-1 check is no separate procedure: it runs
+the general check of its alphabet's encoding.
 
 Checks run cheapest condition first and return a structured witness for
 the first violated one.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from .alphabet import PARALLEL, SEQUENTIAL
 from .automaton import Automaton
-from .fixing import fix_parallel, fix_sequential
+from .fixing import dual_fixings
 from .minimize import joint_equivalence, minimal_form
 from .shape import check_minimal_shape, dead_sink
 from .verdict import (
@@ -31,6 +34,9 @@ from .verdict import (
 
 
 def _bump(letter, f):
+    """``letter`` with component ``f`` one higher; a sequential letter is one digit."""
+    if isinstance(letter, int):
+        return letter + 1
     return letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
 
 
@@ -53,20 +59,24 @@ def _dual_tails(m, f, skip=None):
     Jointly minimizes the fixings of ``f`` to ``b-1`` and to ``0``, then
     checks, letter by letter, that each state's successor on a letter
     and on the letter with ``f`` bumped have the same residual language
-    in the respective fixing.  Returns the equivalence table and the
-    first mismatch found (first by letter, then by state), or None.
+    in the respective fixing.  In a sequential automaton ``f`` is the
+    last component and the letters are the digits below ``b-1``.
+    Returns the equivalence table and the first mismatch found (first
+    by letter, then by state), or None.
     """
     spec = m.alphabet
     b = spec.base
-    hi = fix_parallel(m, f, b - 1).automaton
-    lo = fix_parallel(m, f, 0).automaton
-    table = joint_equivalence([hi, lo])
-    letters = [letter for letter in spec.digit_letters() if letter[f] != b - 1]
+    hi, lo = dual_fixings(m, f)
+    table = joint_equivalence([hi.automaton, lo.automaton])
+    if spec.kind == PARALLEL:
+        letters = [letter for letter in spec.digit_letters() if letter[f] != b - 1]
+    else:
+        letters = list(range(b - 1))
     bumped = [_bump(letter, f) for letter in letters]
     hi_cls, lo_cls = table.classes
     bad = (
-        hi_cls[m.table[:, [spec.letter_index(x) for x in letters]]]
-        != lo_cls[m.table[:, [spec.letter_index(x) for x in bumped]]]
+        hi_cls[hi.state(m.table[:, [spec.letter_index(x) for x in letters]])]
+        != lo_cls[lo.state(m.table[:, [spec.letter_index(x) for x in bumped]])]
     )
     if skip is not None:
         bad[skip] = False
@@ -75,29 +85,6 @@ def _dual_tails(m, f, skip=None):
         return table, None
     q, i = first
     return table, PairMismatch(f, q, letters[i], bumped[i])
-
-
-def _sequential_tails(m):
-    """Dual-tail test of a sequential automaton: the last component.
-
-    Jointly minimizes the fixings of the last component to ``b-1`` and
-    to ``0``; for each digit ``a < b-1`` and each state, the successor
-    on ``a`` in the first and the successor on ``a+1`` in the second
-    must have the same language.  Returns the first mismatch (first by
-    digit, then by state), or None.
-    """
-    spec = m.alphabet
-    b = spec.base
-    hi = fix_sequential(m, b - 1)
-    lo = fix_sequential(m, 0)
-    hi_cls, lo_cls = joint_equivalence([hi.automaton, lo.automaton]).classes
-    first = _first_mismatch(
-        hi_cls[hi.state(m.table[:, : b - 1])] != lo_cls[lo.state(m.table[:, 1:b])]
-    )
-    if first is None:
-        return None
-    q, a = first
-    return PairMismatch(spec.dim - 1, q, a, a + 1)
 
 
 def check_rva_parallel(aut: Automaton) -> Verdict:
@@ -143,7 +130,7 @@ def check_rva_sequential(aut: Automaton) -> Verdict:
     if q != m.initial:
         return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
 
-    mismatch = _sequential_tails(m)
+    _, mismatch = _dual_tails(m, spec.dim - 1)
     if mismatch is not None:
         return Verdict(False, mismatch, minimized=m)
     return Verdict(True, minimized=m)

@@ -18,32 +18,18 @@ from .automaton import Automaton
 
 @dataclass(frozen=True)
 class FixedAutomaton:
-    """Parallel fixing: same state set, component ``component`` reads ``#``."""
+    """A fixing and the numbering of its source's states in it.
 
-    automaton: Automaton
-    component: int
-    digit: int
-
-
-@dataclass(frozen=True)
-class SequentialFixedAutomaton:
-    """Sequential fixing of the last component.
-
-    States are (source state, digit-class) pairs plus a fresh dead sink;
-    ``state(q, i)`` translates source coordinates.
+    A parallel fixing keeps the state set (``stride`` 1); a sequential
+    one pairs each state with a digit class (``stride`` ``dim``).
+    ``state(q, i)`` is source state ``q`` at digit class ``i``.
     """
 
     automaton: Automaton
-    digit: int
-    source_states: int
-    dim: int
+    stride: int = 1
 
     def state(self, q, i=0):
-        return q * self.dim + i
-
-    @property
-    def sink(self):
-        return self.source_states * self.dim
+        return q * self.stride + i
 
 
 def fix_parallel(aut: Automaton, f: int, z: int) -> FixedAutomaton:
@@ -64,16 +50,17 @@ def fix_parallel(aut: Automaton, f: int, z: int) -> FixedAutomaton:
     ]
     columns.append(spec.star_index)
     fixed = Automaton(new_spec, aut.n, aut.initial, aut.accepting, aut.table[:, columns])
-    return FixedAutomaton(fixed, f, z)
+    return FixedAutomaton(fixed)
 
 
-def fix_sequential(aut: Automaton, z: int) -> SequentialFixedAutomaton:
+def fix_sequential(aut: Automaton, z: int) -> FixedAutomaton:
     """Fix the last component of a sequential automaton to the digit ``z``.
 
     The result tracks the digit class alongside the state: digits are
     only enabled below class ``d-1``, the placeholder only at class
     ``d-1`` (where it simulates reading ``z``), the separator keeps the
-    class, and everything else falls into a fresh dead sink.
+    class, and everything else falls into a fresh dead sink, the last
+    state.
     """
     spec = aut.alphabet
     if spec.kind != SEQUENTIAL or spec.fixed:
@@ -93,4 +80,19 @@ def fix_sequential(aut: Automaton, z: int) -> SequentialFixedAutomaton:
     classes[:, :, new_spec.star_index] = src[:, spec.star_index, None] * d + np.arange(d)
     accepting = frozenset(q * d + i for q in aut.accepting for i in range(d))
     fixed = Automaton(new_spec, n * d + 1, aut.initial * d, accepting, table)
-    return SequentialFixedAutomaton(fixed, z, n, d)
+    return FixedAutomaton(fixed, d)
+
+
+def dual_fixings(aut: Automaton, f: int):
+    """The fixings of component ``f`` to ``b-1`` and to ``0``.
+
+    Either encoding; a sequential automaton can only fix its last
+    component, ``f == dim-1``.
+    """
+    spec = aut.alphabet
+    b = spec.base
+    if spec.kind == PARALLEL:
+        return fix_parallel(aut, f, b - 1), fix_parallel(aut, f, 0)
+    if f != spec.dim - 1:
+        raise ValueError("sequential fixing needs the last component")
+    return fix_sequential(aut, b - 1), fix_sequential(aut, 0)

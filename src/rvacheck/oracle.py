@@ -9,11 +9,18 @@ separator monitor for shape violations.  Every "no" answer is returned
 as a concrete word or pair of words and re-verified against the plain
 acceptance semantics before being reported.
 
-Witness expansion is not part of that independent ground truth: it
-reads its distinguishing lassos off the minimizer's refinement
-(:func:`rvacheck.minimize.distinguishing_word`), so it costs about as
-much as the check that produced the witness.  :func:`distinguishing_lasso`
-stays as the product-graph reference for it.
+Witness expansion is not part of that independent ground truth.  Every
+lasso inside a pair, and the one behind a complement prefix, is read
+off the minimizer's refinement
+(:func:`rvacheck.minimize.distinguishing_word`), so expansion costs
+about as much as the check that produced the witness: zero-loop and
+sign-absorption pairs compare the states reached with and without the
+padding, dual-tail pairs of both encodings and complement root pairs
+compare the ``b-1`` and ``0`` fixings of one component, and a
+complement prefix is compared with an empty automaton.  Only a
+not-shape word comes from a product search, of the minimal form and the
+separator monitor (at most ``3d`` states).  :func:`distinguishing_lasso`
+stays as the product-graph reference for :func:`distinguishing_word`.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .alphabet import AlphabetSpec, BLANK, PARALLEL, SEQUENTIAL, STAR
+from .alphabet import AlphabetSpec, BLANK, PARALLEL, SEQUENTIAL
 from .automaton import Automaton, is_weak, sccs, strong_components, trim_accessible
-from .fixing import fix_parallel, fix_sequential
-from .minimize import distinguishing_word
+from .fixing import dual_fixings
+from .minimize import _shortest_path, distinguishing_word
 from .verdict import NotWeak, Verdict
 from .words import (
     LassoWord,
@@ -45,9 +52,9 @@ from .words import (
 def _explore(start, succ_fn, depth_cap=None):
     """BFS closure of a labelled successor relation.
 
-    Returns discovery-ordered nodes, per-node labelled edge lists, and
-    per-node BFS depth.  ``depth_cap`` stops expanding nodes that sit
-    deeper than the cap (their edge lists stay empty).
+    Returns discovery-ordered nodes and per-node labelled edge lists
+    (successors as discovery indices).  ``depth_cap`` stops expanding
+    nodes that sit deeper than the cap (their edge lists stay empty).
     """
     ids = {start: 0}
     order = [start]
@@ -69,7 +76,7 @@ def _explore(start, succ_fn, depth_cap=None):
                     depth.append(d + 1)
                 row.append((label, tid))
         edges.append(row)
-    return order, edges, ids
+    return order, edges
 
 
 def _find_bad_lasso(order, edges, is_bad_component):
@@ -169,7 +176,7 @@ def distinguishing_lasso(a: Automaton, q: int, b: Automaton, p: int):
         x, y = order[comp[0]]
         return info_a.accepting[info_a.scc_of[x]] != info_b.accepting[info_b.scc_of[y]]
 
-    order, edges, _ = _explore((q, p), succ)
+    order, edges = _explore((q, p), succ)
     found = _find_bad_lasso(order, edges, bad)
     if found is None:
         return None
@@ -282,7 +289,7 @@ def shape_violation_word(aut: Automaton, depth_cap=None):
         # repeats an invalid pattern (no separator yet, or too many)
         return mon[0] != 1
 
-    order, edges, _ = _explore((aut.initial, _monitor_start()), succ, depth_cap)
+    order, edges = _explore((aut.initial, _monitor_start()), succ, depth_cap)
     found = _find_bad_lasso(order, edges, bad)
     if found is None:
         return None
@@ -329,7 +336,7 @@ def pad_violation(aut: Automaton, depth_cap=None):
         ay = info.accepting[info.scc_of[y]]
         return ax != ay
 
-    order, edges, _ = _explore((aut.initial, padded_start, _monitor_start()), succ, depth_cap)
+    order, edges = _explore((aut.initial, padded_start, _monitor_start()), succ, depth_cap)
     found = _find_bad_lasso(order, edges, bad)
     if found is None:
         return None
@@ -426,7 +433,7 @@ def dual_violation(aut: Automaton, f: int, depth_cap=None):
         return ax != ay
 
     start = (aut.initial, aut.initial, 0, _monitor_start())
-    order, edges, _ = _explore(start, succ, depth_cap)
+    order, edges = _explore(start, succ, depth_cap)
     found = _find_bad_lasso(order, edges, bad)
     if found is None:
         return None
@@ -488,55 +495,11 @@ def saturation_oracle(aut: Automaton, sample_bound=None) -> Verdict:
 # expansion of structural witnesses into words
 
 
-def _access_words(aut: Automaton):
-    """Letter-index paths from the initial state to every reachable state."""
-    width = aut.alphabet.num_letters
-    delta = aut.delta
-    paths = {aut.initial: ()}
-    queue = [aut.initial]
-    head = 0
-    while head < len(queue):
-        q = queue[head]
-        head += 1
-        for i in range(width):
-            t = delta[q][i]
-            if t not in paths:
-                paths[t] = paths[q] + (i,)
-                queue.append(t)
-    return paths
-
-
-def accepted_lasso_from(aut: Automaton, state: int):
-    """Some lasso accepted from ``state``, or None (weak automata)."""
-    info = sccs(aut)
-    width = aut.alphabet.num_letters
-    delta = aut.delta
-
-    def succ(node):
-        return [(i, delta[node][i]) for i in range(width)]
-
-    def bad(order, comp):
-        return info.accepting[info.scc_of[order[comp[0]]]]
-
-    order, edges, _ = _explore(state, succ)
-    found = _find_bad_lasso(order, edges, bad)
-    if found is None:
-        return None
-    u, v = found
-    letters = [aut.alphabet.letter_at(i) for i in range(width)]
-    return (
-        tuple(letters[i] for i in u),
-        tuple(letters[i] for i in v),
-    )
-
-
-def _fill_blanks(word, f, z, parallel):
-    """Replace the placeholder of a fixed-alphabet word by a digit."""
+def _fill_blanks(word, z):
+    """Replace the placeholder ``#`` of a fixed-alphabet word by the digit ``z``."""
     def fill(letter):
-        if letter == STAR:
-            return STAR
-        if parallel:
-            return letter[:f] + (z,) + letter[f + 1 :]
+        if isinstance(letter, tuple):
+            return tuple(z if sym == BLANK else sym for sym in letter)
         return z if letter == BLANK else letter
 
     return tuple(fill(a) for a in word)
@@ -550,6 +513,34 @@ def _verified_pair(m: Automaton, one: LassoWord, other: LassoWord, signed: bool)
     return pair if pair.verify(m) else None
 
 
+def _padding_pair(m: Automaton, head, pad, signed):
+    """``head u v^w`` against ``head pad u v^w``, for a lasso ``u v^w``
+    accepted after exactly one of ``head`` and ``head pad``."""
+    x = m.run_prefix(m.initial, head)
+    lasso = distinguishing_word(m, x, m, m.run_prefix(x, pad))
+    if lasso is None:
+        return None
+    u, v = lasso
+    return _verified_pair(m, LassoWord(head + u, v), LassoWord(head + pad + u, v), signed)
+
+
+def _dual_pair(m: Automaton, f, hi_head, lo_head, signed):
+    """``hi_head`` and ``lo_head`` continued by one lasso, with component
+    ``f`` filled by ``b-1`` after the first and by ``0`` after the second,
+    accepted after exactly one of them."""
+    b = m.alphabet.base
+    hi, lo = dual_fixings(m, f)
+    x = hi.state(m.run_prefix(m.initial, hi_head))
+    y = lo.state(m.run_prefix(m.initial, lo_head))
+    lasso = distinguishing_word(hi.automaton, x, lo.automaton, y)
+    if lasso is None:
+        return None
+    u, v = lasso
+    hi_word = LassoWord(hi_head + _fill_blanks(u, b - 1), _fill_blanks(v, b - 1))
+    lo_word = LassoWord(lo_head + _fill_blanks(u, 0), _fill_blanks(v, 0))
+    return _verified_pair(m, hi_word, lo_word, signed)
+
+
 def expand_witness(verdict: Verdict, mode: str):
     """Turn a structural "no" witness into a concrete word-level one.
 
@@ -559,18 +550,21 @@ def expand_witness(verdict: Verdict, mode: str):
     non-weak automaton) or its pair does not verify.  Complement pairs
     carry the sign-extended semantics.
 
-    Distinguishing lassos come from :func:`distinguishing_word`, which
-    reads them off the refinement of the two automata involved: the
-    cost is linear-size (rounds times states), not the size of their
-    product, and the lasso is short but not always the shortest.  Every
-    pair is re-checked by acceptance and exact value before it is
+    Every lasso inside a pair or behind a complement prefix comes from
+    :func:`distinguishing_word`, which reads it off the refinement of
+    the two automata involved: the cost is linear-size (rounds times
+    states), not the size of their product, and the lasso is short but
+    not always the shortest.  A zero-loop pair tells the states after a
+    head with and without a zero (or sign) padding apart; a dual-tail
+    pair tells the two fixings of one component apart.  Only a not-shape
+    word is searched in a product, of ``m`` and the separator monitor.
+    Every pair is re-checked by acceptance and exact value before it is
     returned.
     """
     if verdict.answer or verdict.minimized is None:
         return None
     m = verdict.minimized
     spec = m.alphabet
-    b = spec.base
     w = verdict.witness
     kind = w.kind
     signed = mode == "complement"
@@ -580,92 +574,35 @@ def expand_witness(verdict: Verdict, mode: str):
         return BadShapeWord(word, spec) if word is not None else None
 
     if kind == "zero-loop-broken" and not signed:
-        pair = pad_violation(m)
-        return pair if pair is None or pair.verify(m) else None
+        return _padding_pair(m, (), (spec.zero_letter(),) * _seq_dim(spec), signed)
 
     if kind == "zero-loop-broken":  # complement: sign absorption failed
-        sign_digits = (0, b - 1)
+        sign_digits = (0, spec.base - 1)
         for letter in spec.digit_letters():
             if any(sym not in sign_digits for sym in letter):
                 continue
-            li = spec.letter_index(letter)
-            once = m.delta[m.initial][li]
-            if m.delta[once][li] == once:
-                continue
-            lasso = distinguishing_word(m, once, m, m.delta[once][li])
-            if lasso is None:
-                continue
-            u, v = lasso
-            short = LassoWord((letter,) + u, v)
-            long = LassoWord((letter, letter) + u, v)
-            return _verified_pair(m, short, long, signed)
+            once = m.step(m.initial, letter)
+            if m.step(once, letter) != once:
+                return _padding_pair(m, (letter,), (letter,), signed)
         return None
 
     if kind == "complement-prefix":
-        li = spec.letter_index(w.letter)
-        lasso = accepted_lasso_from(m, m.delta[m.initial][li])
+        empty = Automaton(spec, 1, 0, frozenset(), [[0] * spec.num_letters])
+        lasso = distinguishing_word(m, m.step(m.initial, w.letter), empty, 0)
         if lasso is None:
             return None
         u, v = lasso
         return BadShapeWord(LassoWord((w.letter,) + u, v), spec)
 
     if kind == "complement-initial-language":
-        hi = fix_parallel(m, w.component, b - 1).automaton
-        lo = fix_parallel(m, w.component, 0).automaton
-        lasso = distinguishing_word(hi, hi.initial, lo, lo.initial)
-        if lasso is None:
-            return None
-        u, v = lasso
-        hi_word = LassoWord(
-            _fill_blanks(u, w.component, b - 1, True),
-            _fill_blanks(v, w.component, b - 1, True),
-        )
-        lo_word = LassoWord(
-            _fill_blanks(u, w.component, 0, True),
-            _fill_blanks(v, w.component, 0, True),
-        )
-        return _verified_pair(m, hi_word, lo_word, signed)
+        return _dual_pair(m, w.component, (), (), signed)
 
     if kind == "pair-mismatch":
-        access = _access_words(m)
-        prefix_letters = tuple(spec.letter_at(i) for i in access[w.state])
-        if spec.kind == PARALLEL:
-            hi = fix_parallel(m, w.component, b - 1).automaton
-            lo = fix_parallel(m, w.component, 0).automaton
-            x = m.step(w.state, w.letter)
-            y = m.step(w.state, w.bumped_letter)
-            lasso = distinguishing_word(hi, x, lo, y)
-            if lasso is None:
-                return None
-            u, v = lasso
-            hi_word = LassoWord(
-                prefix_letters + (w.letter,) + _fill_blanks(u, w.component, b - 1, True),
-                _fill_blanks(v, w.component, b - 1, True),
-            )
-            lo_word = LassoWord(
-                prefix_letters
-                + (w.bumped_letter,)
-                + _fill_blanks(u, w.component, 0, True),
-                _fill_blanks(v, w.component, 0, True),
-            )
-        else:
-            hi_fix = fix_sequential(m, b - 1)
-            lo_fix = fix_sequential(m, 0)
-            x = hi_fix.state(m.step(w.state, w.letter), 0)
-            y = lo_fix.state(m.step(w.state, w.bumped_letter), 0)
-            lasso = distinguishing_word(hi_fix.automaton, x, lo_fix.automaton, y)
-            if lasso is None:
-                return None
-            u, v = lasso
-            hi_word = LassoWord(
-                prefix_letters + (w.letter,) + _fill_blanks(u, None, b - 1, False),
-                _fill_blanks(v, None, b - 1, False),
-            )
-            lo_word = LassoWord(
-                prefix_letters + (w.bumped_letter,) + _fill_blanks(u, None, 0, False),
-                _fill_blanks(v, None, 0, False),
-            )
-        return _verified_pair(m, hi_word, lo_word, signed)
+        path, _ = _shortest_path(m.delta, m.initial, lambda s: True, lambda s: s == w.state)
+        access = tuple(map(spec.letter_at, path))
+        return _dual_pair(
+            m, w.component, access + (w.letter,), access + (w.bumped_letter,), signed
+        )
 
     return None
 

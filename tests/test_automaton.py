@@ -198,7 +198,7 @@ class TestSccs:
             x, y = node
             return [(i, (a.delta[x][i], b.delta[y][i])) for i in range(width)]
 
-        _, edges, _ = _explore((a.initial, b.initial), succ_fn)
+        _, edges = _explore((a.initial, b.initial), succ_fn)
         succ = [[t for _, t in row] for row in edges]
         _assert_components(succ, *strong_components(succ))
 

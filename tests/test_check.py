@@ -280,9 +280,9 @@ class TestCrossValidation:
                 verdict = check(aut)
                 if verdict.answer:
                     assert saturation_oracle(aut).answer, (b, d, enc, seed)
-                else:
+                elif verdict.witness.kind != "not-weak":
                     expansion = expand_witness(verdict, enc)
-                    if verdict.witness.kind == "not-shape":
-                        assert expansion is not None
-                    if expansion is not None and expansion.kind == "equal-value-pair":
-                        assert expansion.verify(verdict.minimized)
+                    assert expansion is not None, (b, d, enc, seed)
+                    if expansion.kind == "equal-value-pair":
+                        assert expansion.verify(verdict.minimized), (b, d, enc, seed)
+                        assert expansion.verify(aut), (b, d, enc, seed)

@@ -23,6 +23,28 @@ from rvacheck.oracle import gen_known_rva, gen_random_weak, gen_residue_rva
 from tests.conftest import FIG2_PATH
 
 
+# tokens for edits of a valid file: numbers stay small or exceed every
+# budget, since a state count just within it makes completion allocate
+# a table of up to MAX_TABLE_CELLS entries
+FUZZ_TOKENS = [
+    "0", "1", "2", "3", "6", "7", "-1", "10", "9" * 20, "x", "", "#", "*", "->",
+    ":", ",", "0,1", "#,1", "parallel", "sequential", "transitions:",
+]
+FUZZ_WORDS = FUZZ_TOKENS + [
+    "\n", " ", "base: ", "dim: ", "encoding: ",
+    "states: ", "initial: ", "accepting: ", "fixed: ",
+]
+
+
+def parse_or_format_error(text):
+    """Parse with and without completion; only a format error may escape."""
+    for complete in (False, True):
+        try:
+            parse_automaton(text, complete_with_sink=complete)
+        except AutomatonFormatError:
+            pass
+
+
 class TestFormat:
     def test_fig2_file(self, fig2):
         assert fig2.n == 7
@@ -77,6 +99,36 @@ class TestFormat:
             line + "  # note" if "->" in line else line for line in text.splitlines()
         ).replace("transitions:", "transitions:\n# 0 0 -> 0\n  # note", 1)
         assert parse_automaton(commented).structurally_equal(aut)
+
+    @given(
+        st.text(max_size=200)
+        | st.lists(st.sampled_from(FUZZ_WORDS), max_size=60).map(
+            lambda words: aut_io.FORMAT_HEADER + "\n" + "".join(words)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_format_errors(self, text):
+        parse_or_format_error(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_fig2_raises_only_format_errors(self, data):
+        lines = FIG2_PATH.read_text().splitlines()
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+            op = data.draw(st.sampled_from(["delete", "duplicate", "token", "insert"]))
+            if op == "insert" or not lines:
+                lines.insert(i, data.draw(st.text(max_size=12)))
+            elif op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                words = lines[i].split() or [""]
+                k = data.draw(st.integers(0, len(words) - 1))
+                words[k] = data.draw(st.sampled_from(FUZZ_TOKENS) | st.text(max_size=4))
+                lines[i] = " ".join(words)
+        parse_or_format_error("\n".join(lines))
 
     def test_letter_spellings_share_one_slot(self, fig2_text):
         # '01' is read as the letter 1, so it collides with the '1' line

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from rvacheck import (
     state_lang_equal_bruteforce,
     value_real,
 )
-from rvacheck.check import check_rva_complement_parallel
+from rvacheck.check import check_rva_complement_parallel, check_rva_parallel
 from rvacheck.oracle import (
     CounterexamplePair,
     distinguishing_lasso,
@@ -252,6 +253,62 @@ class TestComplementWitness:
             value_real(lasso_to_pair(pair.rejected), aut.alphabet, signed=True)
         )
         assert elapsed < 1.0
+
+
+def traced_peak_mb(fn):
+    """``fn()`` and the peak memory tracemalloc saw while it ran, in MB."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def digit_chain(k):
+    """Base 3: ``c_0`` loops on 0, 1 steps ``c_r`` to ``c_{r+1}``, ``c_k``
+    reads ``*`` into an accepting all-digit state, everything else is dead.
+
+    Its first dual-tail mismatch sits about ``k`` letters deep.
+    """
+    spec = AlphabetSpec(3, 1)
+    accept, dead = k + 1, k + 2
+    rows = []
+    for r in range(k + 1):
+        row = [dead] * spec.num_letters
+        if r == 0:
+            row[0] = 0
+        if r < k:
+            row[1] = r + 1
+        else:
+            row[spec.star_index] = accept
+        rows.append(row)
+    rows.append([accept] * 3 + [dead])
+    rows.append([dead] * spec.num_letters)
+    return Automaton(spec, k + 3, 0, frozenset({accept}), rows)
+
+
+class TestExpansionMemory:
+    def test_deep_pair_mismatch_has_a_linear_access_path(self):
+        # a path to every state, held at once, peaked at 64 MB here
+        aut = digit_chain(4000)
+        verdict = check_rva_parallel(aut)
+        assert verdict.witness.kind == "pair-mismatch"
+        pair, peak = traced_peak_mb(lambda: expand_witness(verdict, "parallel"))
+        assert pair.verify(aut) and pair.verify(verdict.minimized)
+        assert len(pair.accepted.prefix) >= 4000
+        assert peak < 16
+
+    def test_zero_loop_pair_is_read_off_the_refinement(self):
+        # the two-run product search took 14 s and 177 MB here
+        residue = gen_residue_rva(527)
+        aut = Automaton(residue.alphabet, residue.n, 1, residue.accepting, residue.table)
+        verdict = check_rva_parallel(aut)
+        assert verdict.witness.kind == "zero-loop-broken"
+        pair, peak = traced_peak_mb(lambda: expand_witness(verdict, "parallel"))
+        assert isinstance(pair, CounterexamplePair)
+        assert pair.verify(aut) and pair.verify(verdict.minimized)
+        assert peak < 16
 
 
 class TestParallelization:

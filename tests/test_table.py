@@ -21,7 +21,7 @@ from rvacheck import (
     trim_accessible,
 )
 from rvacheck.alphabet import BLANK, PARALLEL, SEQUENTIAL
-from rvacheck.check import _bump, _dual_tails, _first_mismatch, _sequential_tails
+from rvacheck.check import _bump, _dual_tails, _first_mismatch
 from rvacheck.minimize import normalized_colors, refine_partition
 from rvacheck.oracle import (
     gen_random_sequential_shaped,
@@ -197,7 +197,7 @@ def test_refinement_equals_moore_loop(aut, extra):
 def test_vectorized_dual_tails_find_the_loop_first_mismatch(aut):
     for m in (aut, minimal(aut)):
         if m.alphabet.kind == SEQUENTIAL:
-            assert _sequential_tails(m) == sequential_tails_rows(m)
+            assert _dual_tails(m, m.alphabet.dim - 1)[1] == sequential_tails_rows(m)
             continue
         for f in range(m.alphabet.dim):
             assert _dual_tails(m, f)[1] == dual_tails_rows(m, f)
