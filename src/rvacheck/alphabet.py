@@ -54,6 +54,11 @@ class AlphabetSpec:
         return self.kind == PARALLEL
 
     @property
+    def seq_dim(self):
+        """Digits per vector: ``dim`` for sequential letters, 1 for parallel ones."""
+        return 1 if self.is_parallel else self.dim
+
+    @property
     def free_components(self):
         return [i for i in range(self.dim) if i not in self.fixed]
 
@@ -162,9 +167,6 @@ class AlphabetSpec:
             letter = BLANK if text == BLANK else _parse_digit(text)
         self.letter_index(letter)  # validates ranges and fixed slots
         return letter
-
-    def unfixed(self):
-        return AlphabetSpec(self.base, self.dim, self.kind)
 
 
 def _parse_digit(text):

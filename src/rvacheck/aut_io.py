@@ -41,6 +41,30 @@ FORMAT_HEADER = "rva-automaton v1"
 MAX_TABLE_CELLS = 1 << 24
 
 
+def check_table_budget(spec: AlphabetSpec, states: int = 0):
+    """Raise ValueError unless the letters of ``spec``, and a table of
+    ``states`` rows of them, fit in ``MAX_TABLE_CELLS``.
+
+    ``b^d`` is not computed for a ``d`` at which it alone exceeds the
+    budget.
+    """
+    free = spec.dim - len(spec.fixed)
+    # base >= 2, so from this exponent on b^free alone exceeds the budget
+    too_wide = spec.is_parallel and free >= MAX_TABLE_CELLS.bit_length()
+    if too_wide or spec.num_letters > MAX_TABLE_CELLS:
+        letters = f"{spec.base}^{free} + 1" if spec.is_parallel else spec.num_letters
+        raise ValueError(
+            f"declared alphabet of {letters} letters "
+            f"exceeds the budget of {MAX_TABLE_CELLS} transitions"
+        )
+    width = spec.num_letters
+    if states * width > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"declared table of {states} states x {width} letters = {states * width} "
+            f"transitions exceeds the budget of {MAX_TABLE_CELLS} transitions"
+        )
+
+
 class AutomatonFormatError(ValueError):
     def __init__(self, message, line=None):
         self.line = line
@@ -125,22 +149,11 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
     if any(not (0 <= q < n) for q in accepting):
         raise AutomatonFormatError("accepting state out of range", acc_line)
 
-    free = spec.dim - len(spec.fixed)
-    # base >= 2, so from this exponent on b^free alone exceeds the budget
-    # and is not computed
-    too_wide = spec.is_parallel and free >= MAX_TABLE_CELLS.bit_length()
-    if too_wide or spec.num_letters > MAX_TABLE_CELLS:
-        letters = f"{spec.base}^{free} + 1" if spec.is_parallel else spec.num_letters
-        raise AutomatonFormatError(
-            f"declared alphabet of {letters} letters "
-            f"exceeds the budget of {MAX_TABLE_CELLS} transitions"
-        )
+    try:
+        check_table_budget(spec, n if complete_with_sink else 0)
+    except ValueError as exc:
+        raise AutomatonFormatError(str(exc))
     width = spec.num_letters
-    if complete_with_sink and n * width > MAX_TABLE_CELLS:
-        raise AutomatonFormatError(
-            f"declared table of {n} states x {width} letters = {n * width} "
-            f"transitions exceeds the budget of {MAX_TABLE_CELLS} transitions"
-        )
     below = len(lines) - transitions_at
     # each line holds at most one transition: a table the lines cannot
     # fill fails anyway, so it is not allocated at its declared size

@@ -148,19 +148,6 @@ class SccInfo:
     accepting: list
     weak: bool
 
-    @property
-    def num_sccs(self):
-        return len(self.components)
-
-    def is_transient(self, scc_id):
-        return not self.recurrent[scc_id]
-
-    def is_accepting_recurrent(self, scc_id):
-        return self.accepting[scc_id]
-
-    def is_rejecting_recurrent(self, scc_id):
-        return self.recurrent[scc_id] and not self.accepting[scc_id]
-
     def accepting_recurrent_states(self):
         return [
             q

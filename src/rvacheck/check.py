@@ -87,28 +87,33 @@ def _dual_tails(m, f, skip=None):
     return table, PairMismatch(f, q, letters[i], bumped[i])
 
 
+def _check(aut: Automaton, components) -> Verdict:
+    """The check of either encoding: minimal form, shape, zero loop, dual tails."""
+    m = minimal_form(aut)
+    if m is None:
+        return Verdict(False, NotWeak())
+
+    shape = check_minimal_shape(m, (m.initial,))
+    if not shape:
+        return shape
+
+    spec = m.alphabet
+    if m.run_prefix(m.initial, (spec.zero_letter(),) * spec.seq_dim) != m.initial:
+        return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
+
+    for f in components:
+        _, mismatch = _dual_tails(m, f)
+        if mismatch is not None:
+            return Verdict(False, mismatch, minimized=m)
+    return Verdict(True, minimized=m)
+
+
 def check_rva_parallel(aut: Automaton) -> Verdict:
     """Is the parallel-alphabet automaton a real vector automaton?"""
     spec = aut.alphabet
     if spec.kind != PARALLEL or spec.fixed:
         raise ValueError("parallel check needs an unfixed parallel alphabet")
-    m = minimal_form(aut)
-    if m is None:
-        return Verdict(False, NotWeak())
-
-    shape = check_minimal_shape(m, spec.dim, 1)
-    if not shape:
-        return shape
-
-    zero = spec.letter_index(spec.zero_letter())
-    if m.delta[m.initial][zero] != m.initial:
-        return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
-
-    for f in range(spec.dim):
-        _, mismatch = _dual_tails(m, f)
-        if mismatch is not None:
-            return Verdict(False, mismatch, minimized=m)
-    return Verdict(True, minimized=m)
+    return _check(aut, range(spec.dim))
 
 
 def check_rva_sequential(aut: Automaton) -> Verdict:
@@ -116,24 +121,7 @@ def check_rva_sequential(aut: Automaton) -> Verdict:
     spec = aut.alphabet
     if spec.kind != SEQUENTIAL or spec.fixed:
         raise ValueError("sequential check needs an unfixed sequential alphabet")
-    m = minimal_form(aut)
-    if m is None:
-        return Verdict(False, NotWeak())
-
-    shape = check_minimal_shape(m, 1, spec.dim)
-    if not shape:
-        return shape
-
-    q = m.initial
-    for _ in range(spec.dim):
-        q = m.delta[q][0]
-    if q != m.initial:
-        return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
-
-    _, mismatch = _dual_tails(m, spec.dim - 1)
-    if mismatch is not None:
-        return Verdict(False, mismatch, minimized=m)
-    return Verdict(True, minimized=m)
+    return _check(aut, [spec.dim - 1])
 
 
 def check_rva_dim1(aut: Automaton) -> Verdict:
@@ -153,11 +141,13 @@ def check_rva_dim1(aut: Automaton) -> Verdict:
 def check_rva_complement_parallel(aut: Automaton) -> Verdict:
     """Saturation over sign-extended (b-complement) parallel encodings.
 
-    Valid complement words open with letters from {0, b-1}^d; repeated
-    sign letters must be absorbed by the initial state, anything else
-    must lead nowhere, dual-tail equality must hold away from the
-    initial state, and the all-(b-1) and all-0 fixings must agree from
-    the root so both sign paddings of zero are treated alike.
+    Valid complement words open with letters from {0, b-1}^d.  The
+    stages run in this order: the shape test, reading from the
+    sign-letter successors of the initial state; repeated sign letters
+    must be absorbed there; anything but a sign letter must lead
+    nowhere from the initial state; dual-tail equality must hold away
+    from the initial state, and the all-(b-1) and all-0 fixings must
+    agree from the root so both sign paddings of zero are treated alike.
     """
     spec = aut.alphabet
     if spec.kind != PARALLEL or spec.fixed:
@@ -172,10 +162,14 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
         for letter in spec.digit_letters()
         if all(sym in (0, b - 1) for sym in letter)
     ]
+    signs = [spec.letter_index(letter) for letter in sign_letters]
+    roots = [m.delta[m.initial][li] for li in signs]
 
-    for letter in sign_letters:
-        li = spec.letter_index(letter)
-        once = m.delta[m.initial][li]
+    shape = check_minimal_shape(m, roots)
+    if not shape:
+        return shape
+
+    for li, once in zip(signs, roots):
         if m.delta[once][li] != once:
             return Verdict(False, ZeroLoopBroken(once), minimized=m)
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when the queried property holds, 1 when it fails (a
-witness is printed), 2 on usage or format errors.  ``--json`` switches
-the verdict output to one machine-readable object on stdout.
+witness is printed), 2 on usage, format or file errors.  ``--json``
+switches the verdict output to one machine-readable object on stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 import time
 
 from .alphabet import PARALLEL, SEQUENTIAL
-from .aut_io import AutomatonFormatError, parse_automaton, serialize_automaton
+from .aut_io import parse_automaton, serialize_automaton
 from .automaton import is_weak, sccs, trim_accessible
 from .check import (
     check_rva_complement_parallel,
@@ -22,9 +22,7 @@ from .check import (
     check_rva_sequential,
 )
 from .minimize import minimal_form, minimize_weak
-from .oracle import expand_witness, gen_known_rva, saturation_oracle
 from .shape import check_minimal_shape
-from .words import format_lasso, parse_lasso
 
 CHECKS = {
     "parallel": check_rva_parallel,
@@ -35,11 +33,8 @@ CHECKS = {
 
 
 def _load(args):
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise AutomatonFormatError(str(exc))
+    with open(args.file, "r", encoding="utf-8") as handle:
+        text = handle.read()
     return parse_automaton(text, complete_with_sink=args.complete_with_sink)
 
 
@@ -70,29 +65,19 @@ def cmd_check(args):
     if verdict:
         lines.append(f"yes: the automaton is saturated ({args.mode} encoding)")
     else:
+        from .oracle import expand_witness  # only a "no" loads the word layer
+
         lines.append(f"no: {verdict.witness.kind}")
         expansion = expand_witness(verdict, args.mode)
         if expansion is not None:
-            extra = {"expansion": expansion.to_dict()}
+            data = expansion.to_dict()
+            extra = {"expansion": data}
             if expansion.kind == "equal-value-pair":
-                lines.append(
-                    "  accepted: "
-                    + format_lasso(expansion.accepted, aut.alphabet)
-                )
-                lines.append(
-                    "  rejected: "
-                    + format_lasso(expansion.rejected, aut.alphabet)
-                )
-                lines.append(
-                    "  value: ("
-                    + ", ".join(str(v) for v in expansion.values())
-                    + ")"
-                )
+                lines.append(f"  accepted: {data['accepted']}")
+                lines.append(f"  rejected: {data['rejected']}")
+                lines.append(f"  value: ({', '.join(data['value'])})")
             else:
-                lines.append(
-                    "  accepted non-encoding word: "
-                    + format_lasso(expansion.word, aut.alphabet)
-                )
+                lines.append(f"  accepted non-encoding word: {data['word']}")
     _emit(args, _verdict_payload(verdict, aut.n, elapsed, extra), lines)
     return 0 if verdict else 1
 
@@ -102,9 +87,9 @@ def cmd_classify(args):
     start = time.perf_counter()
     m = minimal_form(aut)
     weak = m is not None
-    spec = aut.alphabet
-    par = check_minimal_shape(m, spec.dim, 1) if weak and spec.kind == PARALLEL else None
-    seq = check_minimal_shape(m, 1, spec.dim) if weak and spec.kind == SEQUENTIAL else None
+    shape = check_minimal_shape(m, (m.initial,)) if weak else None
+    par = shape if aut.alphabet.kind == PARALLEL else None
+    seq = shape if aut.alphabet.kind == SEQUENTIAL else None
     elapsed = time.perf_counter() - start
     payload = {
         "weak": weak,
@@ -158,6 +143,8 @@ def cmd_minimize(args):
 
 
 def cmd_eval(args):
+    from .words import parse_lasso
+
     aut = _load(args)
     word = parse_lasso(args.word, aut.alphabet)
     accepted = aut.accepts_lasso(word.prefix, word.period)
@@ -167,6 +154,8 @@ def cmd_eval(args):
 
 
 def cmd_gen(args):
+    from .oracle import gen_known_rva
+
     aut = gen_known_rva(args.kind, args.base, args.dim, args.encoding)
     text = serialize_automaton(aut)
     if args.output:
@@ -178,6 +167,8 @@ def cmd_gen(args):
 
 
 def cmd_oracle(args):
+    from .oracle import saturation_oracle
+
     aut = _load(args)
     start = time.perf_counter()
     verdict = saturation_oracle(aut, args.bound)
@@ -261,10 +252,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AutomatonFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable or unwritable files, bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

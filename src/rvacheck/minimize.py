@@ -44,7 +44,7 @@ def normalized_colors(aut: Automaton, info: SccInfo | None = None):
     info = info or sccs(aut)
     width = aut.alphabet.num_letters
     delta = aut.delta
-    color = [0] * info.num_sccs
+    color = [0] * len(info.components)
     # components arrive sinks-first, so successors are already colored
     for cid, comp in enumerate(info.components):
         succ_max = -1
@@ -270,11 +270,13 @@ def joint_equivalence(automata) -> EquivalenceTable:
     return EquivalenceTable(tuple(automata), classes)
 
 
-def _shortest_path(delta, start, allowed, goal):
-    """Letters of a shortest path from ``start`` to a ``goal`` state.
+def _shortest_path(succ, start, allowed, goal):
+    """Labels of a shortest path from ``start`` to a ``goal`` node.
 
-    Only ``allowed`` states are entered after ``start``.  Returns the
-    letter indices and the state reached.
+    ``succ(s)`` yields the ``(label, successor)`` edges of ``s`` in
+    search order.  Only ``allowed`` nodes are entered after ``start``.
+    Returns the labels and the node reached; the first goal node in
+    breadth-first order wins.
     """
     parent = {start: None}
     queue = [start]
@@ -286,11 +288,11 @@ def _shortest_path(delta, start, allowed, goal):
                 s, i = parent[s]
                 path.append(i)
             return path[::-1], end
-        for i, t in enumerate(delta[s]):
+        for i, t in succ(s):
             if t not in parent and allowed(t):
                 parent[t] = (s, i)
                 queue.append(t)
-    raise RuntimeError("no path to the goal: the colors are inconsistent")
+    raise RuntimeError("no path to the goal")
 
 
 def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
@@ -346,9 +348,10 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
     if color[x] < color[y]:
         x, y = y, x
     c = color[x]
+    edges = lambda s: enumerate(delta[s])
     while True:
         path, x = _shortest_path(
-            delta,
+            edges,
             x,
             lambda s: color[s] >= c,
             lambda s: color[s] == c and recurrent[scc_of[s]],
@@ -357,7 +360,7 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
             y = delta[y][i]
         home = scc_of[x]
         head, last = _shortest_path(
-            delta, x, lambda s: scc_of[s] == home, lambda s: x in delta[s]
+            edges, x, lambda s: scc_of[s] == home, lambda s: x in delta[s]
         )
         cycle = head + [delta[last].index(x)]
         seen = {}

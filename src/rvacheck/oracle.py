@@ -1,4 +1,4 @@
-"""Independent ground truth: brute-force equivalence, bounded saturation
+"""Independent ground truth: product-graph equivalence, bounded saturation
 search, witness expansion, and corpus generators.
 
 The searches here know nothing about minimization or component fixing.
@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .alphabet import AlphabetSpec, BLANK, PARALLEL, SEQUENTIAL
+from .aut_io import MAX_TABLE_CELLS, check_table_budget
 from .automaton import Automaton, is_weak, sccs, strong_components, trim_accessible
 from .fixing import dual_fixings
 from .minimize import _shortest_path, distinguishing_word
@@ -95,70 +96,26 @@ def _find_bad_lasso(order, edges, is_bad_component):
     if not bad:
         return None
 
-    parent = {0: None}
-    queue = [0]
-    head = 0
-    entry = None
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        if scc_of[v] in bad:
-            entry = v
-            break
-        for label, t in edges[v]:
-            if t not in parent:
-                parent[t] = (v, label)
-                queue.append(t)
-    if entry is None:
-        return None
-    prefix = []
-    v = entry
-    while parent[v] is not None:
-        v, label = parent[v]
-        prefix.append(label)
-    prefix.reverse()
-
-    comp = set(comps[scc_of[entry]])
-    cycle_parent = {entry: None}
-    cq = [entry]
-    head = 0
-    cycle_end = None
-    while head < len(cq) and cycle_end is None:
-        v = cq[head]
-        head += 1
-        for label, t in edges[v]:
-            if t == entry:
-                cycle_end = (v, label)
-                break
-            if t in comp and t not in cycle_parent:
-                cycle_parent[t] = (v, label)
-                cq.append(t)
-    v, last_label = cycle_end
-    cycle = [last_label]
-    while cycle_parent[v] is not None:
-        v, label = cycle_parent[v]
-        cycle.append(label)
-    cycle.reverse()
-    return prefix, cycle
+    edges_of = edges.__getitem__
+    prefix, entry = _shortest_path(edges_of, 0, lambda t: True, lambda v: scc_of[v] in bad)
+    home = scc_of[entry]
+    head, last = _shortest_path(
+        edges_of, entry, lambda t: scc_of[t] == home, lambda v: entry in succ[v]
+    )
+    return prefix, head + [next(label for label, t in edges[last] if t == entry)]
 
 
 # ---------------------------------------------------------------------------
 # state-language equivalence
 
 
-def state_lang_equal_bruteforce(a: Automaton, q: int, b: Automaton, p: int) -> bool:
-    """Exact language equality of two states, by product-graph search.
+def distinguishing_lasso(a: Automaton, q: int, b: Automaton, p: int):
+    """A lasso accepted from exactly one of two states, or None.
 
     Two weak automata disagree from (q, p) exactly when some reachable
     pair sits on a product cycle whose two sides have different
-    acceptance; any distinguishing lasso fits inside the product, which
-    is why lassos up to the product of the state counts suffice.
+    acceptance, so the search covers the product of the two automata.
     """
-    return distinguishing_lasso(a, q, b, p) is None
-
-
-def distinguishing_lasso(a: Automaton, q: int, b: Automaton, p: int):
-    """A lasso accepted from exactly one of two states, or None."""
     if a.alphabet != b.alphabet:
         raise ValueError("states must share an alphabet")
     width = a.alphabet.num_letters
@@ -246,10 +203,6 @@ class CounterexamplePair:
         }
 
 
-def _seq_dim(spec: AlphabetSpec):
-    return spec.dim if spec.kind == SEQUENTIAL else 1
-
-
 def _monitor_start():
     return (0, 0)  # (separators seen: 0/1/2, digit count mod d_seq)
 
@@ -268,7 +221,7 @@ def _monitor_step(state, is_star, d_seq):
 def shape_violation_word(aut: Automaton, depth_cap=None):
     """An accepted lasso whose separators do not form a valid encoding."""
     spec = aut.alphabet
-    d_seq = _seq_dim(spec)
+    d_seq = spec.seq_dim
     width = spec.num_letters
     star = spec.star_index
     info = sccs(aut)
@@ -306,15 +259,13 @@ def shape_violation_word(aut: Automaton, depth_cap=None):
 def pad_violation(aut: Automaton, depth_cap=None):
     """A valid encoding whose zero-padded variant is classified differently."""
     spec = aut.alphabet
-    d_seq = _seq_dim(spec)
+    d_seq = spec.seq_dim
     width = spec.num_letters
     star = spec.star_index
     info = sccs(aut)
-    zero = spec.letter_index(spec.zero_letter())
     delta = aut.delta
-    padded_start = aut.initial
-    for _ in range(d_seq):
-        padded_start = delta[padded_start][zero]
+    pad = (spec.zero_letter(),) * d_seq
+    padded_start = aut.run_prefix(aut.initial, pad)
     if padded_start == aut.initial:
         return None
 
@@ -343,7 +294,6 @@ def pad_violation(aut: Automaton, depth_cap=None):
     u, v = found
     letters = [spec.letter_at(i) for i in range(width)]
     plain = LassoWord(tuple(letters[i] for i in u), tuple(letters[i] for i in v))
-    pad = tuple([spec.zero_letter()] * d_seq)
     padded = LassoWord(pad + plain.prefix, plain.period)
     if aut.accepts_lasso(plain.prefix, plain.period):
         return CounterexamplePair(plain, padded, spec)
@@ -389,7 +339,7 @@ def dual_violation(aut: Automaton, f: int, depth_cap=None):
     saturation.
     """
     spec = aut.alphabet
-    d_seq = _seq_dim(spec)
+    d_seq = spec.seq_dim
     width = spec.num_letters
     star = spec.star_index
     info = sccs(aut)
@@ -574,7 +524,7 @@ def expand_witness(verdict: Verdict, mode: str):
         return BadShapeWord(word, spec) if word is not None else None
 
     if kind == "zero-loop-broken" and not signed:
-        return _padding_pair(m, (), (spec.zero_letter(),) * _seq_dim(spec), signed)
+        return _padding_pair(m, (), (spec.zero_letter(),) * spec.seq_dim, signed)
 
     if kind == "zero-loop-broken":  # complement: sign absorption failed
         sign_digits = (0, spec.base - 1)
@@ -598,7 +548,9 @@ def expand_witness(verdict: Verdict, mode: str):
         return _dual_pair(m, w.component, (), (), signed)
 
     if kind == "pair-mismatch":
-        path, _ = _shortest_path(m.delta, m.initial, lambda s: True, lambda s: s == w.state)
+        path, _ = _shortest_path(
+            lambda s: enumerate(m.delta[s]), m.initial, lambda s: True, lambda s: s == w.state
+        )
         access = tuple(map(spec.letter_at, path))
         return _dual_pair(
             m, w.component, access + (w.letter,), access + (w.bumped_letter,), signed
@@ -831,9 +783,14 @@ def gen_known_rva(kind, base, dim, encoding=PARALLEL) -> Automaton:
     ``full-space`` accepts every encoding of every vector, ``zero-only``
     exactly the encodings of the origin, ``unit-box`` the encodings of
     [0,1]^d, and ``complement-full`` every sign-extended encoding (it is
-    parallel-only).
+    parallel-only).  Raises ValueError before building a family whose
+    table would exceed ``MAX_TABLE_CELLS``.
     """
     spec = AlphabetSpec(base, dim, encoding)
+    # before and after the separator, at most one state per digit
+    # position (unit-box: per position and subset of components), plus 2
+    subsets = 1 << min(dim, MAX_TABLE_CELLS.bit_length()) if kind == "unit-box" else 1
+    check_table_budget(spec, 2 * spec.seq_dim * subsets + 2)
     if kind == "full-space":
         return _known_full_space(spec)
     if kind == "zero-only":

@@ -5,7 +5,8 @@ exactly one separator, placed after a number of digits divisible by the
 sequential dimension.  The test runs on the minimal form ``m`` of the
 automaton (:func:`rvacheck.minimize.minimal_form`) and walks two
 families of its states: the states reached while the digit counter is
-``i`` modulo ``d_seq``, and the states reachable after a separator.
+``i`` modulo the digits per vector, and the states reachable after a
+separator.
 
 Two facts about ``m`` stand in for an SCC pass and an emptiness sweep:
 
@@ -29,10 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alphabet import SEQUENTIAL
 from .automaton import Automaton
-from .minimize import minimal_form
-from .verdict import NotShape, NotWeak, Verdict
+from .verdict import NotShape, Verdict
 
 
 def dead_sink(m: Automaton) -> int:
@@ -46,17 +45,18 @@ def dead_sink(m: Automaton) -> int:
 
 def mod_states(aut: Automaton, d_seq: int):
     """Least family with the initial state in class 0, digits advancing the class."""
-    return _mod_states_counted(aut, d_seq)[0]
+    return _mod_states_counted(aut, d_seq, (aut.initial,))[0]
 
 
-def _mod_states_counted(aut: Automaton, d_seq: int):
-    """:func:`mod_states` plus its worklist pops, at most ``n * d_seq``."""
+def _mod_states_counted(aut: Automaton, d_seq: int, roots):
+    """:func:`mod_states` with class 0 seeded by ``roots``, plus its
+    worklist pops, at most ``n * d_seq``."""
     if d_seq < 1:
         raise ValueError("d_seq must be positive")
     star = aut.alphabet.star_index
     members = [set() for _ in range(d_seq)]
-    members[0].add(aut.initial)
-    todo = [(aut.initial, 0)]
+    members[0].update(roots)
+    todo = [(q, 0) for q in members[0]]
     visits = 0
     delta = aut.delta
     while todo:
@@ -95,8 +95,13 @@ def fra_states(aut: Automaton, mods) -> frozenset:
     return frozenset(seen)
 
 
-def check_minimal_shape(m: Automaton, d_par: int, d_seq: int) -> Verdict:
+def check_minimal_shape(m: Automaton, roots) -> Verdict:
     """Does the minimal weak automaton ``m`` accept only encoding-shaped words?
+
+    The words are read from the ``roots``, which start digit class 0:
+    the initial state, or for sign-extended words the sign-letter
+    successors of the initial state.  The digits per vector are
+    ``m.alphabet.seq_dim``.
 
     Required: every separator successor of a fractional state or of a
     misaligned modular state is the dead sink, and no accepting state is
@@ -106,15 +111,9 @@ def check_minimal_shape(m: Automaton, d_par: int, d_seq: int) -> Verdict:
     state whose separator successor is live, else the smallest accepting
     state of the first modular class that has one.
     """
-    spec = m.alphabet
-    expected_dim = 1 if spec.kind == SEQUENTIAL else spec.dim
-    if d_par != expected_dim:
-        raise ValueError(
-            f"automaton reads {expected_dim}-vector letters, asked to check {d_par}"
-        )
-    star = spec.star_index
+    star = m.alphabet.star_index
     sink = dead_sink(m)
-    mods = mod_states(m, d_seq)
+    mods = _mod_states_counted(m, m.alphabet.seq_dim, roots)[0]
     suspects = fra_states(m, mods).union(*mods[1:])
     delta = m.delta
     live = [q for q in suspects if delta[q][star] != sink]
@@ -125,26 +124,3 @@ def check_minimal_shape(m: Automaton, d_par: int, d_seq: int) -> Verdict:
         if looping:
             return Verdict(False, NotShape(min(looping)), minimized=m)
     return Verdict(True, minimized=m)
-
-
-def check_shape(aut: Automaton, d_par: int, d_seq: int) -> Verdict:
-    """Shape test of any automaton, decided on its minimal form.
-
-    Returns ``NotWeak`` when the reachable part is not weak.  Otherwise
-    the verdict is :func:`check_minimal_shape`'s on the minimal form,
-    which it carries as ``minimized``; a witness is a state of it.
-    """
-    m = minimal_form(aut)
-    if m is None:
-        return Verdict(False, NotWeak())
-    return check_minimal_shape(m, d_par, d_seq)
-
-
-def is_d_parallel(aut: Automaton) -> Verdict:
-    """Shape test for one letter per vector position."""
-    return check_shape(aut, aut.alphabet.dim, 1)
-
-
-def is_d_sequential(aut: Automaton, d: int | None = None) -> Verdict:
-    """Shape test for round-robin digit interleaving of ``d`` components."""
-    return check_shape(aut, 1, d if d is not None else aut.alphabet.dim)

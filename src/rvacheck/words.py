@@ -223,41 +223,6 @@ def sequentialize(pw: PairWord):
     return PairWord(prefix, period, stars)
 
 
-def fix_component_word(pw: PairWord, f, z, dim=None):
-    """Overwrite component ``f`` of every digit with the symbol ``z``.
-
-    Parallel words are rewritten letter by letter.  For sequential words
-    (`dim` required) the positions congruent to ``f`` modulo ``dim``,
-    counted over digit symbols only, are replaced; the period is
-    unrolled as needed so the congruence classes stay put.
-    """
-    sample = pw.prefix[0] if pw.prefix else (pw.period[0] if pw.period else None)
-    if isinstance(sample, tuple):
-        if not (0 <= f < len(sample)):
-            raise ValueError("component index out of range")
-        fix = lambda vec: vec[:f] + (z,) + vec[f + 1 :]
-        return PairWord(
-            tuple(fix(v) for v in pw.prefix),
-            tuple(fix(v) for v in pw.period),
-            pw.stars,
-        )
-    if dim is None:
-        raise ValueError("sequential words need an explicit dimension")
-    if not (0 <= f < dim):
-        raise ValueError("component index out of range")
-    prefix, period = pw.prefix, pw.period
-    if period and len(period) % dim:
-        period = period * (dim // gcd(len(period), dim))
-    new_prefix = tuple(
-        z if i % dim == f else x for i, x in enumerate(prefix)
-    )
-    off = len(prefix)
-    new_period = tuple(
-        z if (off + i) % dim == f else x for i, x in enumerate(period)
-    )
-    return PairWord(new_prefix, new_period, pw.stars)
-
-
 def _expansion(frac: Fraction, base):
     """Greedy base-b expansion of a rational in [0, 1).
 
@@ -438,24 +403,3 @@ def parse_lasso(text: str, alphabet: AlphabetSpec) -> LassoWord:
         raise ValueError("lasso period must be nonempty")
     return LassoWord(prefix, period)
 
-
-def component_distance(w1: PairWord, w2: PairWord, dim=None):
-    """Number of components on which two parallel words differ.
-
-    Both words must have the same separator set and compatible shapes;
-    the periods are unrolled to a common length before comparison.
-    """
-    if w1.stars != w2.stars:
-        raise ValueError("words differ in separator positions")
-    sample = w1.prefix[0] if w1.prefix else (w1.period[0] if w1.period else None)
-    if not isinstance(sample, tuple):
-        raise ValueError("component distance is defined on parallel words")
-    d = len(sample)
-    lead = max(len(w1.prefix), len(w2.prefix))
-    lcm = len(w1.period) * len(w2.period) // gcd(len(w1.period), len(w2.period))
-    span = lead + lcm
-    differing = 0
-    for f in range(d):
-        if any(w1.digit_at(i)[f] != w2.digit_at(i)[f] for i in range(span)):
-            differing += 1
-    return differing

@@ -2,7 +2,9 @@ import pathlib
 
 import pytest
 
-from rvacheck import fra_states, mod_states, parse_automaton, sccs
+from rvacheck.aut_io import parse_automaton
+from rvacheck.automaton import sccs
+from rvacheck.shape import fra_states, mod_states
 from rvacheck.verdict import NotShape, Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

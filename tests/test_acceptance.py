@@ -11,34 +11,33 @@ import sys
 import time
 from fractions import Fraction
 
-from rvacheck import (
+from rvacheck.automaton import is_weak, sccs
+from rvacheck.check import (
     check_rva_complement_parallel,
     check_rva_dim1,
     check_rva_parallel,
     check_rva_sequential,
-    is_weak,
-    minimize_weak,
-    saturation_oracle,
-    sccs,
-    state_lang_equal_bruteforce,
-    value_real,
 )
 from rvacheck.fixing import fix_parallel, fix_sequential
+from rvacheck.minimize import minimize_weak
 from rvacheck.oracle import (
+    distinguishing_lasso,
     expand_witness,
     gen_interval_rva,
     gen_known_rva,
     gen_random_sequential_shaped,
     gen_random_weak,
     parallelize_automaton,
+    saturation_oracle,
 )
 from rvacheck.shape import _mod_states_counted, fra_states
 from rvacheck.words import (
+    PairWord,
     encodings_of_rational,
     lasso_to_pair,
     parallelize,
     sequentialize,
-    PairWord,
+    value_real,
 )
 from tests.conftest import FIG2_PATH, dead_states
 
@@ -279,7 +278,7 @@ class TestAcceptance:
         for seed in range(30):
             aut = gen_random_weak(1 + seed % 7, 2, 1, "parallel", seed)
             for d_seq in (1, 2):
-                mods, visits = _mod_states_counted(aut, d_seq)
+                mods, visits = _mod_states_counted(aut, d_seq, (aut.initial,))
                 fra = fra_states(aut, mods)
                 star = aut.alphabet.star_index
                 for i, part in enumerate(mods):
@@ -310,9 +309,9 @@ class TestAcceptance:
             aut = gen_random_weak(1 + seed % 8, 2, 1, "parallel", seed)
             morphism = minimize_weak(aut)
             for q in range(aut.n):
-                assert state_lang_equal_bruteforce(
+                assert distinguishing_lasso(
                     aut, q, morphism.target, morphism.mapping[q]
-                )
+                ) is None
 
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvacheck import (
-    AlphabetSpec,
+from rvacheck.alphabet import BLANK, STAR, AlphabetSpec
+from rvacheck.automaton import (
     Automaton,
-    BLANK,
-    STAR,
     is_weak,
     sccs,
+    strong_components,
     trim_accessible,
 )
-from rvacheck.automaton import strong_components
 from rvacheck.oracle import _explore, gen_random_weak
 
 
@@ -154,23 +152,22 @@ class TestSccs:
             frozenset({6}),
         }
         by_state = {q: info.scc_of[q] for q in range(7)}
-        assert info.is_transient(by_state[0])
-        assert info.is_rejecting_recurrent(by_state[1])
-        assert info.is_rejecting_recurrent(by_state[3])
-        assert info.is_accepting_recurrent(by_state[5])
-        assert info.is_rejecting_recurrent(by_state[6])
+        assert not info.recurrent[by_state[0]]
+        for q in (1, 3, 6):  # rejecting recurrent
+            assert info.recurrent[by_state[q]] and not info.accepting[by_state[q]]
+        assert info.accepting[by_state[5]]
 
     def test_single_accepting_loop(self):
         spec = AlphabetSpec(2, 1)
         aut = Automaton(spec, 1, 0, frozenset({0}), [[0, 0, 0]])
         info = sccs(aut)
-        assert info.num_sccs == 1 and info.is_accepting_recurrent(0)
+        assert len(info.components) == 1 and info.accepting[0]
 
     def test_dag_automaton_all_transient_but_sink(self):
         spec = AlphabetSpec(2, 1)
         delta = [[1, 1, 1], [2, 2, 2], [2, 2, 2]]
         info = sccs(Automaton(spec, 3, 0, frozenset(), delta))
-        flags = [info.is_transient(info.scc_of[q]) for q in range(3)]
+        flags = [not info.recurrent[info.scc_of[q]] for q in range(3)]
         assert flags == [True, True, False]
 
     @given(

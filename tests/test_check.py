@@ -1,22 +1,23 @@
+import itertools
+
 import pytest
 
-from rvacheck import (
-    AlphabetSpec,
-    Automaton,
+from rvacheck.alphabet import AlphabetSpec
+from rvacheck.automaton import Automaton, trim_accessible
+from rvacheck.check import (
     check_rva_complement_parallel,
     check_rva_dim1,
     check_rva_parallel,
     check_rva_sequential,
-    minimize_weak,
-    saturation_oracle,
-    trim_accessible,
 )
+from rvacheck.minimize import minimize_weak
 from rvacheck.oracle import (
     expand_witness,
     gen_known_rva,
     gen_random_sequential_shaped,
     gen_random_weak,
     parallelize_automaton,
+    saturation_oracle,
 )
 from rvacheck.words import lasso_to_pair, value_real
 
@@ -269,6 +270,40 @@ class TestComplementCheck:
         seq = gen_known_rva("full-space", 2, 2, "sequential")
         with pytest.raises(ValueError):
             check_rva_complement_parallel(seq)
+
+    def test_shape_mutants(self):
+        # with state 1 accepting the family accepts 0^w, with a separator
+        # loop on state 2 it accepts 0 * *^w: the shape stage, read from
+        # the sign-letter successors of the root, rejects both
+        for b, d in itertools.product((2, 3), (1, 2)):
+            aut = gen_known_rva("complement-full", b, d)
+            rows = [list(row) for row in aut.delta]
+            rows[2][aut.alphabet.star_index] = 2
+            zero = ",".join(["0"] * d)
+            mutants = {
+                f"{zero} / {zero}": Automaton(aut.alphabet, 4, 0, aut.accepting | {1}, aut.delta),
+                f"{zero} * * / {zero}": Automaton(aut.alphabet, 4, 0, aut.accepting, rows),
+            }
+            for word, mutant in mutants.items():
+                verdict = check_rva_complement_parallel(mutant)
+                assert not verdict.answer and verdict.witness.kind == "not-shape", (b, d)
+                assert expand_witness(verdict, "complement").to_dict()["word"] == word
+
+    def test_seeded_sweep_expands_every_no(self):
+        # without a shape stage some of these failed a later stage on an
+        # automaton that accepts a word with its separator in the period,
+        # and the expansion of that "no" raised
+        for seed, (b, d) in itertools.product(range(200), itertools.product((2, 3), (1, 2))):
+            aut = gen_random_weak(1 + seed % 8, b, d, "parallel", seed)
+            verdict = check_rva_complement_parallel(aut)
+            if verdict.answer or verdict.witness.kind == "not-weak":
+                continue
+            expansion = expand_witness(verdict, "complement")
+            assert expansion is not None, (seed, b, d)
+            if expansion.kind == "shape-violation":
+                assert aut.accepts_lasso(expansion.word.prefix, expansion.word.period)
+            else:
+                assert expansion.verify(aut), (seed, b, d)
 
 
 class TestCrossValidation:

@@ -1,16 +1,10 @@
 import pytest
 
-from rvacheck import (
-    BLANK,
-    STAR,
-    fix_component_word,
-    fix_parallel,
-    fix_sequential,
-    is_weak,
-    joint_equivalence,
-    state_lang_equal_bruteforce,
-)
-from rvacheck.oracle import gen_known_rva, gen_random_weak
+from rvacheck.alphabet import BLANK, STAR
+from rvacheck.automaton import is_weak
+from rvacheck.fixing import fix_parallel, fix_sequential
+from rvacheck.minimize import joint_equivalence
+from rvacheck.oracle import distinguishing_lasso, gen_known_rva, gen_random_weak
 from rvacheck.words import PairWord, pair_to_lasso
 
 
@@ -84,7 +78,7 @@ class TestFixParallel:
                     aut.alphabet, aut.n, q, aut.accepting, aut.delta
                 )
                 fixed_moved = fix_parallel(moved, 0, 1).automaton
-                assert state_lang_equal_bruteforce(fixed, q, fixed_moved, q)
+                assert distinguishing_lasso(fixed, q, fixed_moved, q) is None
 
     def test_rejects_bad_requests(self):
         aut = gen_known_rva("full-space", 2, 2)
@@ -155,12 +149,11 @@ class TestFixSequential:
         # the automaton-level simulation agrees with rewriting the word
         aut = gen_known_rva("unit-box", 2, 2, "sequential")
         fixed = fix_sequential(aut, 0)
-        word = PairWord((1, BLANK), (0, BLANK), frozenset({2}))
-        rewritten = fix_component_word(word, 1, 0, dim=2)
-        lasso = pair_to_lasso(word)
-        filled = pair_to_lasso(rewritten)
+        lasso = pair_to_lasso(PairWord((1, BLANK), (0, BLANK), frozenset({2})))
+        filled_prefix = fill(lasso.prefix, None, 0, False)
+        filled_period = fill(lasso.period, None, 0, False)
         assert fixed.automaton.accepts_lasso(lasso.prefix, lasso.period) == (
-            aut.accepts_lasso(filled.prefix, filled.period)
+            aut.accepts_lasso(filled_prefix, filled_period)
         )
 
     def test_refix_keeps_last(self):

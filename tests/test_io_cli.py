@@ -8,17 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvacheck import (
-    AlphabetSpec,
-    Automaton,
-    AutomatonFormatError,
-    fix_parallel,
-    fix_sequential,
-    parse_automaton,
-    aut_io,
-    serialize_automaton,
-)
+from rvacheck import aut_io
+from rvacheck.alphabet import AlphabetSpec
+from rvacheck.aut_io import AutomatonFormatError, parse_automaton, serialize_automaton
+from rvacheck.automaton import Automaton
 from rvacheck.cli import main
+from rvacheck.fixing import fix_parallel, fix_sequential
 from rvacheck.oracle import gen_known_rva, gen_random_weak, gen_residue_rva
 from tests.conftest import FIG2_PATH
 
@@ -321,6 +316,42 @@ class TestCli:
         proc = run_cli("check", str(target), "--mode", "parallel")
         assert proc.returncode == 0
         assert "yes" in proc.stdout
+
+    def test_check_loads_the_word_layer_only_on_no(self, tmp_path):
+        full = tmp_path / "full.rva"
+        full.write_text(serialize_automaton(gen_known_rva("full-space", 2, 2)))
+        probe = (
+            "import sys\n"
+            "from rvacheck.cli import main\n"
+            f"code = main(['check', {str(full)!r}, '--mode', 'parallel'])\n"
+            "print(code, [m for m in ('rvacheck.oracle', 'rvacheck.words', 'fractions')"
+            " if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+        proc = run_cli("check", str(FIG2_PATH), "--mode", "parallel")
+        assert proc.returncode == 1
+        assert proc.stdout == (
+            "no: zero-loop-broken\n"
+            "  accepted: 0 1 * / 0\n"
+            "  rejected: 1 * / 0\n"
+            "  value: (1)\n"
+        )
+
+    def test_unwritable_output_exit_code(self, tmp_path):
+        target = str(tmp_path / "no" / "such" / "dir" / "x.rva")
+        for argv in (("minimize", str(FIG2_PATH)), ("gen", "--kind", "full-space")):
+            proc = run_cli(*argv, "-o", target)
+            assert proc.returncode == 2, argv
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_gen_held_to_the_table_budget(self):
+        # 2^40 + 1 letters; a 2^13 + 1 state table of 2^12 + 1 letters
+        for kind, dim in (("full-space", "40"), ("unit-box", "12")):
+            proc = run_cli_optimized("gen", "--kind", kind, "--base", "2", "--dim", dim)
+            assert proc.returncode == 2, (kind, proc.stderr)
+            assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+            assert not proc.stdout
 
     def test_check_modes_cover_dim1_and_complement(self, tmp_path):
         full = tmp_path / "full.rva"

@@ -2,25 +2,16 @@ import itertools
 
 import pytest
 
-from rvacheck import (
-    PARALLEL,
-    SEQUENTIAL,
-    AlphabetSpec,
-    Automaton,
-    distinguishing_word,
-    is_weak,
-    joint_equivalence,
-    minimize_weak,
-    trim_accessible,
-)
+from rvacheck.alphabet import PARALLEL, SEQUENTIAL, AlphabetSpec
+from rvacheck.automaton import Automaton, is_weak, trim_accessible
 from rvacheck.fixing import fix_parallel, fix_sequential
+from rvacheck.minimize import distinguishing_word, joint_equivalence, minimize_weak
 from rvacheck.oracle import (
     distinguishing_lasso,
     gen_known_rva,
     gen_random_sequential_shaped,
     gen_random_weak,
     parallelize_automaton,
-    state_lang_equal_bruteforce,
 )
 
 
@@ -104,16 +95,16 @@ class TestMinimizeWeak:
         for aut in corpus(40, sizes=range(1, 7)):
             morphism = minimize_weak(aut)
             for q in range(aut.n):
-                assert state_lang_equal_bruteforce(
+                assert distinguishing_lasso(
                     aut, q, morphism.target, morphism.mapping[q]
-                ), f"state {q} changed language"
+                ) is None, f"state {q} changed language"
 
     def test_minimality_exhaustive_small(self):
         for aut in corpus(40, sizes=range(1, 7)):
             trimmed, _ = trim_accessible(aut)
             target = minimize_weak(trimmed).target
             for q, p in itertools.combinations(range(target.n), 2):
-                assert not state_lang_equal_bruteforce(target, q, target, p), (
+                assert distinguishing_lasso(target, q, target, p) is not None, (
                     f"states {q},{p} of the quotient are equivalent"
                 )
 
@@ -160,7 +151,7 @@ class TestJointEquivalence:
                 for q in range(a.n):
                     for p in range(b.n):
                         assert table.same_language(0, q, 1, p) == (
-                            state_lang_equal_bruteforce(a, q, b, p)
+                            distinguishing_lasso(a, q, b, p) is None
                         )
 
     def test_alphabet_mismatch_rejected(self):
@@ -256,7 +247,7 @@ class TestDistinguishingWord:
         for q in range(fig2.n):
             for p in range(fig2.n):
                 word = distinguishing_word(fig2, q, fig2, p)
-                assert (word is None) == state_lang_equal_bruteforce(fig2, q, fig2, p)
+                assert (word is None) == (distinguishing_lasso(fig2, q, fig2, p) is None)
                 if word is not None:
                     assert accepts_from(fig2, q, word) != accepts_from(fig2, p, word)
 

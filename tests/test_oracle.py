@@ -4,45 +4,39 @@ from fractions import Fraction
 
 import pytest
 
-from rvacheck import (
-    AlphabetSpec,
-    Automaton,
-    STAR,
-    is_weak,
-    minimize_weak,
-    saturation_oracle,
-    serialize_automaton,
-    state_lang_equal_bruteforce,
-    value_real,
-)
+from rvacheck.alphabet import STAR, AlphabetSpec
+from rvacheck.aut_io import serialize_automaton
+from rvacheck.automaton import Automaton, is_weak
 from rvacheck.check import check_rva_complement_parallel, check_rva_parallel
+from rvacheck.minimize import minimize_weak
 from rvacheck.oracle import (
     CounterexamplePair,
     distinguishing_lasso,
     dual_violation,
     expand_witness,
-    gen_residue_rva,
     gen_interval_rva,
     gen_known_rva,
     gen_random_sequential_shaped,
     gen_random_weak,
+    gen_residue_rva,
     pad_violation,
     parallelize_automaton,
+    saturation_oracle,
     saturation_oracle_enumerative,
     shape_violation_word,
 )
-from rvacheck.words import LassoWord, lasso_to_pair
+from rvacheck.words import LassoWord, lasso_to_pair, value_real
 
 
 class TestBruteforceEquality:
     def test_reflexive(self, fig2):
         for q in range(fig2.n):
-            assert state_lang_equal_bruteforce(fig2, q, fig2, q)
+            assert distinguishing_lasso(fig2, q, fig2, q) is None
 
     def test_fig2_merge_pairs(self, fig2):
-        assert state_lang_equal_bruteforce(fig2, 3, fig2, 4)
-        assert state_lang_equal_bruteforce(fig2, 0, fig2, 2)
-        assert not state_lang_equal_bruteforce(fig2, 0, fig2, 1)
+        assert distinguishing_lasso(fig2, 3, fig2, 4) is None
+        assert distinguishing_lasso(fig2, 0, fig2, 2) is None
+        assert distinguishing_lasso(fig2, 0, fig2, 1) is not None
 
     def test_distinguishing_lasso_is_real(self, fig2):
         lasso = distinguishing_lasso(fig2, 0, fig2, 1)
@@ -186,13 +180,14 @@ class TestGenerators:
         assert serialize_automaton(a) != serialize_automaton(c)
 
     def test_shaped_sequential_passes_shape(self):
-        from rvacheck import is_d_sequential, trim_accessible
+        from rvacheck.minimize import minimal_form
+        from rvacheck.shape import check_minimal_shape
 
         for seed in range(20):
             aut = gen_random_sequential_shaped(8, 2, 2, seed)
             assert is_weak(aut)
-            trimmed, _ = trim_accessible(aut)
-            assert is_d_sequential(trimmed).answer
+            m = minimal_form(aut)
+            assert check_minimal_shape(m, (m.initial,)).answer
 
     def test_interval_family(self):
         aut = gen_interval_rva(60)

@@ -4,31 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvacheck import (
-    AlphabetSpec,
-    Automaton,
-    check_minimal_shape,
+from rvacheck.alphabet import SEQUENTIAL, AlphabetSpec
+from rvacheck.automaton import Automaton, sccs
+from rvacheck.check import (
     check_rva_complement_parallel,
     check_rva_dim1,
     check_rva_parallel,
     check_rva_sequential,
-    check_shape,
-    dead_sink,
-    fra_states,
-    is_d_parallel,
-    is_d_sequential,
-    minimal_form,
-    minimize_weak,
-    mod_states,
-    sccs,
 )
+from rvacheck.minimize import minimal_form, minimize_weak
 from rvacheck.oracle import (
     gen_known_rva,
     gen_random_sequential_shaped,
     gen_random_weak,
     parallelize_automaton,
 )
-from rvacheck.shape import _mod_states_counted
+from rvacheck.shape import (
+    _mod_states_counted,
+    check_minimal_shape,
+    dead_sink,
+    fra_states,
+    mod_states,
+)
 from tests.conftest import dead_states, reference_shape
 
 
@@ -54,6 +51,22 @@ def random_corpus(count, seed):
         else:
             aut = gen_random_sequential_shaped(2 + rng.randrange(24), b, d, s)
             yield aut if kind == 1 else parallelize_automaton(aut)
+
+
+def minimal_shape(aut):
+    """The shape stage on the minimal form of ``aut``, or None when it is not weak."""
+    m = minimal_form(aut)
+    return None if m is None else check_minimal_shape(m, (m.initial,))
+
+
+def as_sequential(aut, d):
+    """``aut``'s table over the ``d``-sequential alphabet of its base.
+
+    Takes an alphabet of single digits and the separator: a sequential
+    one, or a parallel one of dimension 1.
+    """
+    spec = AlphabetSpec(aut.alphabet.base, d, SEQUENTIAL)
+    return Automaton(spec, aut.n, aut.initial, aut.accepting, aut.table)
 
 
 def renumbered(aut, perm):
@@ -102,11 +115,12 @@ class TestMinimalFormFacts:
             assert dead == ({dead_sink(m)} - {-1})
             assert m.accepting == frozenset(sccs(m).accepting_recurrent_states())
             spec = m.alphabet
-            d_par = spec.dim if spec.is_parallel else 1
-            for d_seq in (1, 2, 3):
-                expected = reference_shape(m, d_seq)
-                assert check_minimal_shape(m, d_par, d_seq) == expected
-                assert check_shape(aut, d_par, d_seq) == expected
+            expected = reference_shape(m, spec.seq_dim)
+            assert check_minimal_shape(m, (m.initial,)) == expected
+            if spec.num_letters == spec.base + 1:  # single digits
+                for d_seq in (1, 2, 3):
+                    expected = reference_shape(m, d_seq)
+                    assert check_minimal_shape(as_sequential(m, d_seq), (m.initial,)) == expected
 
 
 class TestModFraSets:
@@ -138,7 +152,7 @@ class TestModFraSets:
         for seed in range(30):
             for d_seq in (1, 2, 3):
                 aut = gen_random_weak(1 + seed % 6, 2, 1, "parallel", seed)
-                mods, visits = _mod_states_counted(aut, d_seq)
+                mods, visits = _mod_states_counted(aut, d_seq, (aut.initial,))
                 star = aut.alphabet.star_index
                 assert aut.initial in mods[0]
                 for i, part in enumerate(mods):
@@ -157,23 +171,23 @@ class TestModFraSets:
 
 class TestShapeChecks:
     def test_full_space_parallel_yes(self, full_par_d2):
-        assert is_d_parallel(full_par_d2).answer
+        assert minimal_shape(full_par_d2).answer
 
     def test_full_space_sequential_yes(self, full_seq_d2):
-        assert is_d_sequential(full_seq_d2).answer
+        assert minimal_shape(full_seq_d2).answer
 
     def test_sequential_probed_with_wrong_dim_no(self, full_seq_d2):
-        verdict = is_d_sequential(full_seq_d2, 3)
+        verdict = minimal_shape(as_sequential(full_seq_d2, 3))
         assert not verdict.answer
         assert verdict.witness.kind == "not-shape"
 
     def test_fig2_is_1_sequential(self, fig2):
-        assert check_shape(fig2, 1, 1).answer
+        assert minimal_shape(as_sequential(fig2, 1)).answer
 
     def test_no_separator_acceptance_rejected(self):
         spec = AlphabetSpec(2, 1)
         aut = Automaton(spec, 1, 0, frozenset({0}), [[0, 0, 0]])
-        verdict = is_d_parallel(aut)
+        verdict = minimal_shape(aut)
         assert not verdict.answer and verdict.witness.kind == "not-shape"
 
     def test_separator_free_loop_rejected(self):
@@ -181,7 +195,7 @@ class TestShapeChecks:
         # 0^w is accepted; every separator falls into the dead sink, so
         # only the accepting-loop test can catch it
         aut = Automaton(spec, 2, 0, frozenset({0}), [[0, 0, 1], [1, 1, 1]])
-        verdict = is_d_parallel(aut)
+        verdict = minimal_shape(aut)
         assert verdict == reference_shape(aut, 1)
         assert not verdict.answer and verdict.witness.state == 0
 
@@ -190,20 +204,17 @@ class TestShapeChecks:
         # needs two separators before looping in the accepting state
         delta = [[0, 0, 1], [1, 1, 2], [2, 2, 2], [3, 3, 3]]
         aut = Automaton(spec, 4, 0, frozenset({2}), delta)
-        verdict = is_d_parallel(aut)
+        verdict = minimal_shape(aut)
         assert not verdict.answer
         bad = verdict.witness.state
         assert bad in (1, 2)
-
-    def test_dimension_mismatch_raises(self, full_par_d2):
-        with pytest.raises(ValueError):
-            check_shape(full_par_d2, 1, 2)
 
     def test_non_weak_input_not_weak(self):
         spec = AlphabetSpec(2, 1)
         # one component {0, 1}, only half of it accepting
         aut = Automaton(spec, 2, 0, frozenset({0}), [[1, 1, 1], [0, 0, 0]])
-        for verdict in (check_shape(aut, 1, 1), is_d_parallel(aut)):
+        assert minimal_form(aut) is None
+        for verdict in (check_rva_parallel(aut), check_rva_complement_parallel(aut)):
             assert not verdict.answer and verdict.witness.kind == "not-weak"
 
     def test_witness_is_a_state_of_the_minimal_form(self):
@@ -211,7 +222,7 @@ class TestShapeChecks:
         # state 0 is unreachable; 1 and 2 both accept every word
         delta = [[0, 0, 0], [2, 2, 2], [1, 1, 1]]
         aut = Automaton(spec, 3, 1, frozenset({1, 2}), delta)
-        verdict = is_d_parallel(aut)
+        verdict = check_rva_parallel(aut)
         assert verdict.minimized.n == 1
         assert verdict.witness.state == 0 == verdict.minimized.initial
 
@@ -220,10 +231,10 @@ def applicable_checks(aut):
     """Every check mode that takes the automaton's alphabet, and its shape test."""
     spec = aut.alphabet
     if spec.is_parallel:
-        checks = [check_rva_parallel, check_rva_complement_parallel, is_d_parallel]
+        checks = [check_rva_parallel, check_rva_complement_parallel]
     else:
-        checks = [check_rva_sequential, is_d_sequential]
-    return checks + [check_rva_dim1] * (spec.dim == 1)
+        checks = [check_rva_sequential]
+    return checks + [minimal_shape] + [check_rva_dim1] * (spec.dim == 1)
 
 
 @st.composite

@@ -10,19 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvacheck import (
-    AlphabetSpec,
-    Automaton,
-    fix_parallel,
-    fix_sequential,
+from rvacheck.alphabet import BLANK, PARALLEL, SEQUENTIAL, AlphabetSpec
+from rvacheck.aut_io import serialize_automaton
+from rvacheck.automaton import Automaton, trim_accessible
+from rvacheck.check import _bump, _dual_tails, _first_mismatch
+from rvacheck.fixing import fix_parallel, fix_sequential
+from rvacheck.minimize import (
     joint_equivalence,
     minimize_weak,
-    serialize_automaton,
-    trim_accessible,
+    normalized_colors,
+    refine_partition,
 )
-from rvacheck.alphabet import BLANK, PARALLEL, SEQUENTIAL
-from rvacheck.check import _bump, _dual_tails, _first_mismatch
-from rvacheck.minimize import normalized_colors, refine_partition
 from rvacheck.oracle import (
     gen_random_sequential_shaped,
     gen_random_weak,

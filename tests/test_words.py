@@ -4,25 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvacheck import (
-    AlphabetSpec,
+from rvacheck.alphabet import AlphabetSpec
+from rvacheck.words import (
     PairWord,
+    SignDigitError,
     alternative_encodings,
-    component_distance,
-    fix_component_word,
+    encodings_of_rational,
+    format_lasso,
+    lasso_to_pair,
+    pair_to_lasso,
     parallelize,
+    parse_lasso,
     sequentialize,
     value_fractional,
     value_natural,
     value_real,
-)
-from rvacheck.words import (
-    SignDigitError,
-    encodings_of_rational,
-    lasso_to_pair,
-    pair_to_lasso,
-    parse_lasso,
-    format_lasso,
 )
 
 B2 = AlphabetSpec(2, 1)
@@ -182,45 +178,6 @@ class TestGrouping:
         assert parallelize(back, d).prefix == par.prefix
 
 
-class TestFixWord:
-    def test_fix_twice_keeps_last(self):
-        word = w([(1, 0), (0, 1)], [(1, 1)], stars={2})
-        once = fix_component_word(word, 0, 0)
-        twice = fix_component_word(fix_component_word(word, 0, 1), 0, 0)
-        assert once == twice
-
-    def test_fixpoint_when_component_constant(self):
-        word = w([(1, 0), (1, 1)], [(1, 0)], stars={2})
-        assert fix_component_word(word, 0, 1) == word
-
-    def test_prefix_commutation(self):
-        head = ((0, 1), (1, 1))
-        tail = w([(1, 0)], [(0, 0)], stars={1})
-        whole = w(head + tail.prefix, tail.period, {s + len(head) for s in tail.stars})
-        fixed_whole = fix_component_word(whole, 1, 0)
-        fixed_tail = fix_component_word(tail, 1, 0)
-        assert fixed_whole.prefix[:2] == tuple(
-            vec[:1] + (0,) + vec[2:] for vec in head
-        )
-        assert fixed_whole.prefix[2:] == fixed_tail.prefix
-        assert fixed_whole.period == fixed_tail.period
-
-    def test_sequential_positions(self):
-        word = w([1, 0, 1, 1], [0, 1], stars={4})
-        fixed = fix_component_word(word, 1, 0, dim=2)
-        stream = [fixed.digit_at(i) for i in range(8)]
-        assert stream == [1, 0, 1, 0, 0, 0, 0, 0]
-
-    def test_matches_grouped_fixing(self):
-        word = w([1, 0, 1, 1], [0, 1], stars={4})
-        via_groups = sequentialize(fix_component_word(parallelize(word, 2), 1, 0))
-        direct = fix_component_word(word, 1, 0, dim=2)
-        span = 10
-        assert [via_groups.digit_at(i) for i in range(span)] == [
-            direct.digit_at(i) for i in range(span)
-        ]
-
-
 class TestAlternativeEncodings:
     def test_dual_for_one(self):
         one = w([(1,)], [(0,)], stars={1})
@@ -304,42 +261,3 @@ class TestLassoForms:
     def test_literal_needs_period(self):
         with pytest.raises(ValueError):
             parse_lasso("1 0 *", B2)
-
-
-class TestComponentDistance:
-    def test_basic(self):
-        a = w([(1, 0)], [(0, 0)], stars={1})
-        b = w([(1, 1)], [(0, 0)], stars={1})
-        c = w([(0, 1)], [(0, 0)], stars={1})
-        assert component_distance(a, a) == 0
-        assert component_distance(a, b) == 1
-        assert component_distance(a, c) == 2
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_symmetry_and_triangle(self, data):
-        def draw_word():
-            prefix = data.draw(
-                st.lists(
-                    st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                    min_size=1,
-                    max_size=3,
-                )
-            )
-            period = data.draw(
-                st.lists(
-                    st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                    min_size=1,
-                    max_size=2,
-                )
-            )
-            return w(prefix, period, stars={0})
-
-        a, b, c = draw_word(), draw_word(), draw_word()
-        assert component_distance(a, b) == component_distance(b, a)
-        assert component_distance(a, c) <= (
-            component_distance(a, b) + component_distance(b, c)
-        )
-        assert (component_distance(a, b) == 0) == (
-            [a.digit_at(i) for i in range(8)] == [b.digit_at(i) for i in range(8)]
-        )
