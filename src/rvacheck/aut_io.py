@@ -23,14 +23,26 @@ In the header ``#`` starts a comment anywhere on a line.  Below
 at the start of a line or after the destination state
 (``0 #,1 -> 2  # note``).  Parsing validates totality unless a missing
 transition is allowed to fall into a fresh rejecting sink.
+
+A table of at least ``SMALL_TABLE_CELLS`` cells whose body is in the
+form :func:`serialize_automaton` writes (ASCII, ``\n`` line ends,
+single spaces, decimal states, letters of one-digit components, no
+fixed components) is read in bulk, by numpy over chunks of whole lines,
+straight into the ``n x letters`` array.  Smaller tables, any other
+body and any body with an error are read by the line loop into rows;
+it names every error with its line.  The writer formats its text in
+chunks of lines, so a table is never held as text all at once.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
+import numpy as np
+
 from .alphabet import AlphabetSpec, PARALLEL, SEQUENTIAL
-from .automaton import Automaton
+from .automaton import SMALL_TABLE_CELLS, Automaton
 
 FORMAT_HEADER = "rva-automaton v1"
 
@@ -72,12 +84,36 @@ class AutomatonFormatError(ValueError):
         super().__init__(f"{message}{where}")
 
 
+# every line break ``str.splitlines`` knows, so header line numbers match it
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+# characters of the body the bulk reader converts to bytes at a time
+_BULK_CHUNK = 1 << 18
+
+
+def _lines(text):
+    """``text.splitlines()``, lazily, each line with the offset past its break."""
+    pos = 0
+    for brk in _LINE_BREAK.finditer(text):
+        yield text[pos : brk.start()], brk.end()
+        pos = brk.end()
+    if pos < len(text):
+        yield text[pos:], len(text)
+
+
 def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
-    lines = text.splitlines()
+    """Read an automaton.
+
+    The header is read line by line.  The transitions of a table of at
+    least ``SMALL_TABLE_CELLS`` cells go to the bulk reader
+    (:func:`_bulk_table`), which gives the array.  Smaller tables, and
+    bodies the bulk reader refuses, go to the line loop
+    (:func:`_line_table`), which gives rows and names every error.
+    """
     fields = {}
     transitions_at = None
     header_seen = False
-    for idx, raw in enumerate(lines, start=1):
+    for idx, (raw, end) in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -89,7 +125,7 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
             header_seen = True
             continue
         if line == "transitions:":
-            transitions_at = idx
+            transitions_at, body = idx, end
             break
         key, sep, value = line.partition(":")
         if not sep:
@@ -153,15 +189,144 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
         check_table_budget(spec, n if complete_with_sink else 0)
     except ValueError as exc:
         raise AutomatonFormatError(str(exc))
+    table = None
+    if n * spec.num_letters >= SMALL_TABLE_CELLS:
+        table = _bulk_table(text, body, spec, n, complete_with_sink)
+    if table is None:
+        table = _line_table(
+            text[body:].splitlines(), transitions_at, spec, n, complete_with_sink
+        )
+    return Automaton(spec, len(table), initial, accepting, table)
+
+
+def _bulk_table(text, body, spec, n, complete_with_sink):
+    """The table of a plain body, or None to leave the body to the line loop.
+
+    A plain body is ASCII, every line of it ends in ``\n`` and reads
+    ``<src> <letter> -> <dst>`` with single spaces: the states in 1-18
+    decimal digits and in range, the letter ``*`` or single digits
+    (comma-joined in a parallel alphabet), no letter of a fixed
+    alphabet.  No cell may be given twice, and only ``complete_with_sink``
+    allows a cell to be missing.  That is what :func:`serialize_automaton`
+    writes for an unfixed alphabet of base at most 10.  The body is
+    converted in chunks of whole lines, so no more than one chunk is held
+    as bytes and index arrays.  The line count bounds the table before it
+    is allocated.
+    """
     width = spec.num_letters
-    below = len(lines) - transitions_at
+    cells = n * width
+    lines = text.count("\n", body) + (len(text) > body and text[-1] != "\n")
+    if spec.fixed or not lines or lines > cells or (lines < cells and not complete_with_sink):
+        return None
+    flat = np.full(cells + width * complete_with_sink, -1, dtype=np.int64)
+    pos, written = body, 0
+    while pos < len(text):
+        end = text.find("\n", pos + _BULK_CHUNK) + 1 or len(text)
+        try:
+            chunk = text[pos:end].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        cell_dst = _bulk_chunk(np.frombuffer(chunk, np.uint8), spec, n)
+        if cell_dst is None:
+            return None
+        flat[cell_dst[0]] = cell_dst[1]
+        written += len(cell_dst[0])
+        pos = end
+    missing = flat[:cells] < 0
+    count = int(np.count_nonzero(missing))
+    if written + count != cells or (count and not complete_with_sink):
+        return None  # a cell given twice, or missing without completion
+    if not count:
+        return flat[:cells].reshape(n, width)
+    flat[:cells][missing] = n
+    flat[cells:] = n
+    return flat.reshape(n + 1, width)
+
+
+def _bulk_chunk(a, spec, n):
+    """Cells and destinations of the ``\n``-ended plain lines in bytes ``a``, or None."""
+    ends = np.flatnonzero(a == 10)
+    gaps = np.flatnonzero(a == 32)
+    if len(gaps) != 3 * len(ends):
+        return None
+    s0, s1, s2 = gaps.reshape(-1, 3).T
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # each line's three spaces lie inside it, around a nonempty source,
+    # letter and destination and the two bytes of the arrow
+    if not (
+        (s0 > starts).all()
+        and (s1 > s0 + 1).all()
+        and (s2 == s1 + 3).all()
+        and (ends > s2 + 1).all()
+        and (a[s1 + 1] == 45).all()
+        and (a[s1 + 2] == 62).all()
+    ):
+        return None
+    src = _decimals(a, starts, s0)
+    dst = _decimals(a, s2 + 1, ends)
+    letter = _letter_indices(a, s0 + 1, s1 - s0 - 1, spec)
+    if src is None or dst is None or letter is None:
+        return None
+    if src.max() >= n or dst.max() >= n:
+        return None
+    return src * spec.num_letters + letter, dst
+
+
+def _decimals(a, lo, hi):
+    """Values of the fields ``a[lo:hi]``, or None unless each is 1-18 ASCII digits.
+
+    ``a[hi]`` is a space or line break, so reading past a short field
+    finds no digit.
+    """
+    length = hi - lo
+    if length.max() > 18:
+        return None
+    value = np.zeros(len(lo), dtype=np.int64)
+    for j in range(int(length.max())):
+        digit = a[np.minimum(lo + j, hi)] - 48  # wraps above 9 off a digit
+        live = length > j
+        if not np.array_equal(digit <= 9, live):
+            return None
+        value = np.where(live, value * 10 + digit, value)
+    return value
+
+
+def _letter_indices(a, lo, length, spec):
+    """Letter indices of the fields ``a[lo:lo+length]``, or None unless each
+    is ``*`` or the alphabet's digits, one byte each, comma-joined."""
+    digits = spec.dim if spec.is_parallel else 1
+    star = (length == 1) & (a[lo] == 42)
+    if not ((length == 2 * digits - 1) | star).all():
+        return None
+    index = np.full(len(lo), spec.star_index, dtype=np.int64)
+    rows = np.flatnonzero(~star)
+    at = lo[rows]
+    value = np.zeros(len(rows), dtype=np.int64)
+    for c in range(digits):
+        digit = a[at + 2 * c] - 48  # wraps above 9 off a digit
+        if (digit >= min(spec.base, 10)).any():
+            return None
+        if c + 1 < digits and (a[at + 2 * c + 1] != 44).any():
+            return None
+        value = value * spec.base + digit
+    index[rows] = value
+    return index
+
+
+def _line_table(lines, first, spec, n, complete_with_sink):
+    """The rows read line by line from the body ``lines``; the line
+    numbers of its errors count from ``first``, the ``transitions:`` line."""
+    width = spec.num_letters
+    below = len(lines)
     # each line holds at most one transition: a table the lines cannot
     # fill fails anyway, so it is not allocated at its declared size
     short = not complete_with_sink and n * width > below
     flat = defaultdict(lambda: None) if short else [None] * (n * width)
     letter_ids = {}  # exact letter token -> letter index
-    for idx in range(transitions_at, len(lines)):
-        head, arrow, tail = lines[idx].partition("->")
+    for idx, line in enumerate(lines, start=first + 1):
+        head, arrow, tail = line.partition("->")
         parts = head.split()
         if parts and parts[0][0] == "#":
             continue  # comment line
@@ -169,35 +334,35 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
             if not parts:
                 continue
             raise AutomatonFormatError(
-                f"expected '<src> <letter> -> <dst>', found {head.strip()!r}", idx + 1
+                f"expected '<src> <letter> -> <dst>', found {head.strip()!r}", idx
             )
         if len(parts) != 2:
             raise AutomatonFormatError(
-                f"expected '<src> <letter>' before '->', found {head.strip()!r}", idx + 1
+                f"expected '<src> <letter>' before '->', found {head.strip()!r}", idx
             )
         src_text, token = parts
         try:
             src = int(src_text)
             dst = int(tail.split("#", 1)[0])
         except ValueError:
-            raise AutomatonFormatError("states must be integers", idx + 1)
+            raise AutomatonFormatError("states must be integers", idx)
         if not (0 <= src < n) or not (0 <= dst < n):
-            raise AutomatonFormatError("transition state out of range", idx + 1)
+            raise AutomatonFormatError("transition state out of range", idx)
         li = letter_ids.get(token)
         if li is None:
             try:
                 li = spec.letter_index(spec.parse_letter(token))
             except ValueError as exc:
-                raise AutomatonFormatError(str(exc), idx + 1)
+                raise AutomatonFormatError(str(exc), idx)
             letter_ids[token] = li
         k = src * width + li
         if flat[k] is not None:
             raise AutomatonFormatError(
-                f"duplicate transition for state {src} letter {token}", idx + 1
+                f"duplicate transition for state {src} letter {token}", idx
             )
         flat[k] = dst
 
-    del lines  # free the line strings before the rows and the table exist
+    del lines  # free the line strings before the rows exist
     if short or None in flat:
         missing = (k for k in range(n * width) if flat[k] is None)
         if not complete_with_sink:
@@ -217,11 +382,21 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
             flat[k] = n
         flat += [n] * width
         n += 1
-    table = [flat[k : k + width] for k in range(0, n * width, width)]
-    return Automaton(spec, n, initial, accepting, table)
+    return [flat[k : k + width] for k in range(0, n * width, width)]
 
 
-def serialize_automaton(aut: Automaton) -> str:
+# transitions written per chunk of text
+_WRITE_CELLS = 1 << 16
+
+
+def _text_chunks(aut: Automaton):
+    """The file text of ``aut`` in chunks of ``_WRITE_CELLS`` transition
+    lines, the header leading the first.
+
+    Each chunk is formatted from the rows the automaton holds or, if it
+    holds the array, from a slice of it, so writing derives neither form
+    whole.  A text of one chunk is built in one piece, not joined again.
+    """
     spec = aut.alphabet
     lines = [
         FORMAT_HEADER,
@@ -235,8 +410,31 @@ def serialize_automaton(aut: Automaton) -> str:
     lines.append(f"initial: {aut.initial}")
     lines.append("accepting: " + " ".join(str(q) for q in sorted(aut.accepting)))
     lines.append("transitions:")
-    letters = [spec.format_letter(spec.letter_at(i)) for i in range(spec.num_letters)]
-    for q, row in enumerate(aut.delta):
-        for text, t in zip(letters, row):
-            lines.append(f"{q} {text} -> {t}")
-    return "\n".join(lines) + "\n"
+    chunk = ["\n".join(lines) + "\n"]
+    width = spec.num_letters
+    arrows = [f" {spec.format_letter(spec.letter_at(i))} -> " for i in range(width)]
+    step = max(1, _WRITE_CELLS // width)
+    stored = vars(aut).get("delta")  # None when only the array is stored
+    for lo in range(0, aut.n, step):
+        if stored is not None:
+            rows = stored[lo : lo + step]
+        else:
+            rows = aut.table[lo : lo + step].tolist()
+        chunk.extend(
+            f"{q}{arrow}{t}\n"
+            for q, row in enumerate(rows, start=lo)
+            for arrow, t in zip(arrows, row)
+        )
+        yield "".join(chunk)
+        chunk = []
+
+
+def serialize_automaton(aut: Automaton) -> str:
+    return "".join(_text_chunks(aut))
+
+
+def write_automaton(aut: Automaton, handle):
+    """Write the text of :func:`serialize_automaton` to ``handle``, one
+    bounded chunk at a time."""
+    for chunk in _text_chunks(aut):
+        handle.write(chunk)

@@ -6,12 +6,13 @@ vectorized stages (fixings, unions, partition refinement, the dual-tail
 test) read with gathers.  ``delta`` is the same table as a list of
 ``n`` rows, which the Python walks (SCCs, colors, breadth-first
 searches, the oracle) index.  An automaton stores the form it was built
-from and derives the other once, on first read: a parsed or generated
-automaton keeps its rows and gets its array when a vectorized stage
-first needs it; one built by a vectorized stage keeps its array and
-gets rows only if a Python walk reads them.  Values are treated as
-immutable after construction: every operation here is a pure read and
-results are fresh objects.
+from and derives the other once, on first read: a generated automaton,
+or a parsed one below ``SMALL_TABLE_CELLS``, keeps its rows and gets
+its array when a vectorized stage first needs it; a larger parsed one,
+or one built by a vectorized stage, keeps its array and gets rows only
+if a Python walk reads them.  Values are treated as immutable after
+construction: every operation here is a pure read and results are
+fresh objects.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ from itertools import chain
 import numpy as np
 
 from .alphabet import AlphabetSpec
+
+# Tables below this many cells are parsed line by line into rows and
+# skip the merge of equal rows: there the fixed cost of the numpy calls
+# exceeds the Python work they save.  A merge round costs 15-60% of the
+# trim, SCCs and colours it could shrink on random weak automata of
+# 8-2048 states, and 5-10% from 4096 cells on.  Every file of the
+# corpus benchmark (at most 640 cells) is below it.
+SMALL_TABLE_CELLS = 2048
 
 
 class Automaton:

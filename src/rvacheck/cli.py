@@ -13,7 +13,7 @@ import sys
 import time
 
 from .alphabet import PARALLEL, SEQUENTIAL
-from .aut_io import parse_automaton, serialize_automaton
+from .aut_io import parse_automaton, serialize_automaton, write_automaton
 from .automaton import is_weak, sccs, trim_accessible
 from .check import (
     check_rva_complement_parallel,
@@ -124,10 +124,9 @@ def cmd_minimize(args):
     classes = {}
     for old, new in kept:
         classes.setdefault(morphism.mapping[new], []).append(old)
-    text = serialize_automaton(morphism.target)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write_automaton(morphism.target, handle)
     payload = {
         "states": morphism.target.n,
         "classes": {str(k): sorted(v) for k, v in sorted(classes.items())},
@@ -137,7 +136,7 @@ def cmd_minimize(args):
         members = " ".join(str(q) for q in sorted(classes[target_state]))
         lines.append(f"  class {target_state}: {{{members}}}")
     if not args.output:
-        lines.append(text.rstrip("\n"))
+        lines.append(serialize_automaton(morphism.target).rstrip("\n"))
     _emit(args, payload, lines)
     return 0
 
@@ -157,12 +156,11 @@ def cmd_gen(args):
     from .oracle import gen_known_rva
 
     aut = gen_known_rva(args.kind, args.base, args.dim, args.encoding)
-    text = serialize_automaton(aut)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write_automaton(aut, handle)
     else:
-        sys.stdout.write(text)
+        write_automaton(aut, sys.stdout)
     return 0
 
 

@@ -3,7 +3,8 @@ import pathlib
 import pytest
 
 from rvacheck.aut_io import parse_automaton
-from rvacheck.automaton import sccs
+from rvacheck.automaton import sccs, trim_accessible
+from rvacheck.minimize import minimize_weak
 from rvacheck.shape import fra_states, mod_states
 from rvacheck.verdict import NotShape, Verdict
 
@@ -65,3 +66,13 @@ def reference_shape(aut, d_seq):
             if info.accepting[info.scc_of[q]]:
                 return Verdict(False, NotShape(q))
     return Verdict(True)
+
+
+def reference_minimal_form(aut):
+    """The minimal form without the merge of equal rows: trim, SCCs, then
+    :func:`minimize_weak`; None when the reachable part is not weak."""
+    trimmed, _ = trim_accessible(aut)
+    info = sccs(trimmed)
+    if not info.weak:
+        return None
+    return minimize_weak(trimmed, info).target

@@ -1,9 +1,12 @@
+import contextlib
 import json
 import resource
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from rvacheck.automaton import Automaton
 from rvacheck.cli import main
 from rvacheck.fixing import fix_parallel, fix_sequential
 from rvacheck.oracle import gen_known_rva, gen_random_weak, gen_residue_rva
-from tests.conftest import FIG2_PATH
+from tests.conftest import FIG2_PATH, ROOT
 
 
 # tokens for edits of a valid file: numbers stay small or exceed every
@@ -38,6 +41,84 @@ def parse_or_format_error(text):
             parse_automaton(text, complete_with_sink=complete)
         except AutomatonFormatError:
             pass
+
+
+def any_size_to_the_bulk_reader():
+    """Offer tables of every size to the bulk reader, not only those of
+    at least ``SMALL_TABLE_CELLS`` cells."""
+    return mock.patch.object(aut_io, "SMALL_TABLE_CELLS", 0)
+
+
+def outcome(text, complete):
+    """What parsing ``text`` gives: the automaton's parts or the error."""
+    try:
+        aut = parse_automaton(text, complete_with_sink=complete)
+    except AutomatonFormatError as exc:
+        return "error", str(exc), exc.line
+    return aut.alphabet, aut.n, aut.initial, aut.accepting, aut.table.tolist()
+
+
+def parse_outcome(text, complete):
+    """:func:`outcome` with the bulk reader offered the body at any size."""
+    with any_size_to_the_bulk_reader():
+        return outcome(text, complete)
+
+
+def line_loop_outcome(text, complete):
+    """:func:`outcome` with the bulk reader refusing every body."""
+    with mock.patch.object(aut_io, "_bulk_table", return_value=None):
+        return outcome(text, complete)
+
+
+def bulk_reads(text, complete=False, any_size=True):
+    """Whether the bulk reader, not the line loop, reads the body of
+    ``text``; with ``any_size``, tables of every size are offered to it."""
+    lift = any_size_to_the_bulk_reader() if any_size else contextlib.nullcontext()
+    with lift, mock.patch.object(aut_io, "_line_table", side_effect=AssertionError):
+        try:
+            parse_automaton(text, complete_with_sink=complete)
+        except AssertionError:
+            return False
+    return True
+
+
+def big_row_automaton(n=350_000):
+    """An automaton of ``n`` states x 3 letters, built from Python rows."""
+    rows = [[(3 * q + i) * 7919 % n for i in range(3)] for q in range(n)]
+    return Automaton(AlphabetSpec(2, 1), n, 0, frozenset({1, 5}), rows)
+
+
+# edits of one transition line for the differential test
+LINE_EDITS = [
+    lambda line: line.replace(" ", "  ", 1),
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: " " + line,
+    lambda line: line + " ",
+    lambda line: line + "\r",
+    lambda line: line.replace(" ", "\v", 1),
+    lambda line: line.replace(" ", "\f", 1),
+    lambda line: line + "  # note",
+    lambda line: "# " + line,
+    lambda line: line.replace(" -> ", "->", 1),
+    lambda line: line.replace("->", "->>", 1),
+    lambda line: line.replace(" * ", " 2 ", 1),
+    lambda line: line.replace(" -> ", " ->", 1),
+    lambda line: "+" + line,
+    lambda line: "0" + line,
+    lambda line: line + "0",
+    lambda line: line.replace(" -> ", " -> 1_", 1),
+    lambda line: line.replace(" -> ", " -> \u0661", 1),
+    lambda line: line.replace(" -> ", " -> 9999999999999999999", 1),
+    lambda line: line.replace(" -> ", " -> -", 1),
+    lambda line: line.replace(" ", " 0", 1),
+    lambda line: line.replace(" ", " #", 1),
+    lambda line: line.replace(",", ",#", 1),
+    lambda line: line.replace(",", "", 1),
+    lambda line: line.replace(" 0 ", " *,0 ", 1),
+    lambda line: line.replace(" 1", " 2", 1),
+    lambda line: line.replace(" -> ", " 0 -> ", 1),
+    lambda line: "",
+]
 
 
 class TestFormat:
@@ -124,6 +205,124 @@ class TestFormat:
                 words[k] = data.draw(st.sampled_from(FUZZ_TOKENS) | st.text(max_size=4))
                 lines[i] = " ".join(words)
         parse_or_format_error("\n".join(lines))
+
+    def test_bulk_reader_reads_what_serialize_writes(self):
+        for aut in (gen_residue_rva(7), gen_known_rva("unit-box", 3, 2, "sequential"),
+                    gen_random_weak(6, 3, 2, "parallel", 1)):
+            text = serialize_automaton(aut)
+            assert bulk_reads(text)
+            with any_size_to_the_bulk_reader():
+                assert parse_automaton(text).structurally_equal(aut)
+        # a fixed alphabet is left to the line loop, even where no line
+        # spells a '#' letter
+        fixed = serialize_automaton(fix_parallel(gen_residue_rva(7), 0, 1).automaton)
+        assert not bulk_reads(fixed)
+        star_lines = "\n".join(line for line in fixed.splitlines() if "#" not in line)
+        assert not bulk_reads(star_lines, complete=True)
+
+    def test_small_tables_are_read_into_rows(self):
+        # 682 and 683 states x 3 letters: 2046 and 2049 cells
+        assert aut_io.SMALL_TABLE_CELLS == 2048
+        small, large = gen_residue_rva(682), gen_residue_rva(683)
+        text = serialize_automaton(small)
+        assert not bulk_reads(text, any_size=False) and bulk_reads(text)
+        read = parse_automaton(text)
+        assert "delta" in vars(read) and "table" not in vars(read)
+        assert read.structurally_equal(small)
+        text = serialize_automaton(large)
+        assert bulk_reads(text, any_size=False)
+        read = parse_automaton(text)
+        assert "table" in vars(read) and "delta" not in vars(read)
+        assert read.structurally_equal(large)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_reader_agrees_with_the_line_loop(self, data):
+        seed = data.draw(st.integers(0, 200))
+        base, dim = data.draw(st.sampled_from([2, 3])), data.draw(st.sampled_from([1, 2]))
+        encoding = data.draw(st.sampled_from(["parallel", "sequential"]))
+        aut = gen_random_weak(1 + seed % 6, base, dim, encoding, seed)
+        if data.draw(st.integers(0, 3)) == 0:  # '#' letters
+            aut = (fix_parallel(aut, 0, 1) if encoding == "parallel" else fix_sequential(aut, 1)).automaton
+        lines = serialize_automaton(aut).splitlines()
+        first = lines.index("transitions:") + 1
+        head, body = lines[:first], lines[first:]
+        for _ in range(data.draw(st.integers(0, 3))):
+            op = data.draw(st.sampled_from(["edit", "delete", "duplicate", "shuffle"]))
+            i = data.draw(st.integers(0, max(len(body) - 1, 0)))
+            if not body:
+                break
+            if op == "edit":
+                body[i] = data.draw(st.sampled_from(LINE_EDITS))(body[i])
+            elif op == "delete":
+                del body[i]
+            elif op == "duplicate":
+                body.insert(i, body[i])
+            else:
+                body = data.draw(st.permutations(body))
+        ending = data.draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+        text = ending.join(head + body) + data.draw(st.sampled_from(["", ending]))
+        for complete in (False, True):
+            assert parse_outcome(text, complete) == line_loop_outcome(text, complete)
+
+    @pytest.mark.parametrize("dim, fixed, old, new, message", [
+        # the separator's slot, taken by a digit beyond the base
+        (1, False, "0 * -> 1", "0 2 -> 1", "digit 2 out of range for base 2 (line 11)"),
+        (1, False, "0 * -> 1", "0 * ->> 1", "states must be integers (line 11)"),
+        (1, False, "0 * -> 1", " * -> 1", "expected '<src> <letter>' before '->', found '*' (line 11)"),
+        (1, False, "0 * -> 1", "3 * -> 1", "transition state out of range (line 11)"),
+        # 2^64 + 1 and 2 * 10^18 - 1: values beyond int64 arithmetic
+        (1, False, "0 * -> 1", "0 * -> 18446744073709551617", "transition state out of range (line 11)"),
+        (1, False, "0 * -> 1", "0 * -> 1999999999999999999", "transition state out of range (line 11)"),
+        (1, False, "0 * -> 1", "0 0,0 -> 1", "letter '0,0' has 2 components, expected 1 (line 11)"),
+        (2, False, "0 0,1 -> 0", "0 0;1 -> 0", "letter '0;1' has 1 components, expected 2 (line 10)"),
+        (2, True, "0 #,1 -> 0", "0 1,1 -> 0", "component 0 of (1, 1) must be '#' (line 11)"),
+    ])
+    def test_lines_the_bulk_reader_leaves_to_the_line_loop(self, dim, fixed, old, new, message):
+        aut = gen_known_rva("full-space", 2, dim)
+        if fixed:
+            aut = fix_parallel(aut, 0, 1).automaton
+        text = serialize_automaton(aut)
+        assert old in text
+        edited = text.replace(old, new, 1)
+        for complete in (False, True):
+            with pytest.raises(AutomatonFormatError) as err:
+                parse_automaton(edited, complete_with_sink=complete)
+            assert str(err.value) == message
+            assert line_loop_outcome(edited, complete) == parse_outcome(edited, complete)
+
+    def test_line_ends_read_alike(self):
+        # 400 states, every transition into 0-9: a destination "9\r"
+        # misread as 9 * 10 + ("\r" - "0") mod 256 = 311 would be in range
+        n = 400
+        table = (np.arange(n * 3, dtype=np.int64) % 10).reshape(n, 3)
+        aut = Automaton(AlphabetSpec(2, 1), n, 0, frozenset({2}), table)
+        text = serialize_automaton(aut)
+        assert bulk_reads(text)
+        for variant in (text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+                        text.replace(" ->", "\t->"), text.replace("\n", " \n")):
+            assert not bulk_reads(variant)
+            assert parse_automaton(variant).structurally_equal(aut)
+
+    @given(st.text(alphabet=st.sampled_from("ab \r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_header_lines_split_as_splitlines(self, text):
+        # header line numbers and the body offset come from this split
+        pieces = list(aut_io._lines(text))
+        assert [line for line, _ in pieces] == text.splitlines()
+        for (line, end), rest in zip(pieces, text.splitlines(keepends=True)):
+            assert text[end - len(rest) : end] == rest
+
+    def test_three_spaces_per_line_on_average_are_not_enough(self):
+        lines = serialize_automaton(gen_known_rva("full-space", 2, 1)).splitlines()
+        first = lines.index("transitions:") + 1
+        lines[first : first + 2] = ["0 0 -> 1 2", "0 -> 3"]
+        text = "\n".join(lines) + "\n"
+        for complete in (False, True):
+            with pytest.raises(AutomatonFormatError) as err:
+                parse_automaton(text, complete_with_sink=complete)
+            assert str(err.value) == "states must be integers (line 9)"
+            assert line_loop_outcome(text, complete) == parse_outcome(text, complete)
 
     def test_letter_spellings_share_one_slot(self, fig2_text):
         # '01' is read as the letter 1, so it collides with the '1' line
@@ -216,6 +415,42 @@ class TestFormat:
                 parse_automaton(wide)
             assert f"3^{dim} + 1 letters" in str(err.value)
             assert "budget of 27" in str(err.value)
+
+    def test_writing_holds_a_chunk_not_the_text(self, tmp_path):
+        # ``gen`` writes about 1M transitions of Python rows, 21 MB of
+        # text, with less address space left than the text takes
+        path = tmp_path / "big.rva"
+        text = serialize_automaton(big_row_automaton())
+        probe = (
+            "import resource, sys\n"
+            "from rvacheck import oracle\n"
+            "from rvacheck.cli import main\n"
+            "from tests.test_io_cli import big_row_automaton\n"
+            "aut = big_row_automaton()\n"
+            "oracle.gen_known_rva = lambda *args: aut\n"
+            "with open('/proc/self/statm') as statm:\n"
+            "    size = int(statm.read().split()[0]) * resource.getpagesize()\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, (size + {len(text)}, size + {len(text)}))\n"
+            f"sys.exit(main(['gen', '--kind', 'full-space', '-o', {str(path)!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = path.read_text()
+        assert written == text
+        # 17 chunks of transitions, each written once
+        assert parse_automaton(written).structurally_equal(big_row_automaton())
+
+    def test_serialize_reads_the_stored_form(self):
+        # rows or array, the text is the same, and writing derives neither
+        rows = big_row_automaton(5000)
+        array = Automaton(rows.alphabet, rows.n, rows.initial, rows.accepting,
+                          np.array(rows.delta))
+        text = serialize_automaton(rows)
+        assert serialize_automaton(array) == text
+        assert "table" not in vars(rows) and "delta" not in vars(array)
+        assert parse_automaton(text).structurally_equal(rows)
 
     def test_error_carries_line_number(self):
         text = (

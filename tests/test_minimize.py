@@ -1,18 +1,28 @@
 import itertools
+import random
 
 import pytest
 
+from rvacheck import minimize
 from rvacheck.alphabet import PARALLEL, SEQUENTIAL, AlphabetSpec
-from rvacheck.automaton import Automaton, is_weak, trim_accessible
+from rvacheck.automaton import Automaton, is_weak, sccs, trim_accessible
 from rvacheck.fixing import fix_parallel, fix_sequential
-from rvacheck.minimize import distinguishing_word, joint_equivalence, minimize_weak
+from rvacheck.minimize import (
+    _merge_equal_rows,
+    distinguishing_word,
+    joint_equivalence,
+    minimal_form,
+    minimize_weak,
+)
 from rvacheck.oracle import (
     distinguishing_lasso,
+    gen_interval_rva,
     gen_known_rva,
     gen_random_sequential_shaped,
     gen_random_weak,
     parallelize_automaton,
 )
+from tests.conftest import reference_minimal_form
 
 
 def corpus(count, sizes=range(1, 9), bases=(2, 3), dims=(1, 2), kinds=("parallel",)):
@@ -113,6 +123,106 @@ class TestMinimizeWeak:
             morphism = minimize_weak(aut)
             assert morphism.mapping[aut.initial] == morphism.target.initial
             assert set(morphism.mapping) == set(range(morphism.target.n))
+
+
+def repetitive(seed, base, dim, encoding, weak):
+    """A seeded automaton with many equal rows: each row repeats an
+    earlier one with one target moved, or is fresh.  Acceptance is a
+    random union of components when ``weak``, else a random state set;
+    a non-weak cycle is appended unreachable half of the time."""
+    rng = random.Random(f"{seed}:{base}:{dim}:{encoding}:{weak}")
+    spec = AlphabetSpec(base, dim, encoding)
+    width = spec.num_letters
+    n = rng.randrange(1, 40)
+    rows = []
+    for q in range(n):
+        if rows and rng.random() < 0.7:
+            row = list(rng.choice(rows))
+            if rng.random() < 0.5:
+                row[rng.randrange(width)] = rng.randrange(n)
+        else:
+            row = [rng.randrange(n) for _ in range(width)]
+        rows.append(row)
+    rows.reverse()  # copies point above themselves, as in a tree's levels
+    if weak:
+        info = sccs(Automaton(spec, n, 0, frozenset(), rows))
+        accepting = {q for comp in info.components if rng.random() < 0.5 for q in comp}
+    else:
+        accepting = {q for q in range(n) if rng.random() < 0.3}
+    if rng.random() < 0.5:  # UNREACHABLE_NON_WEAK's cycle, where one side accepts
+        rows += [[n + 1] * width, [n] * width]
+        accepting.add(n + 1)
+    return Automaton(spec, len(rows), rng.randrange(n), frozenset(accepting), rows)
+
+
+def two_chains(length, spec=AlphabetSpec(2, 1)):
+    """A root over two chains of ``length`` states into one accepting
+    sink, which letter 0 walks down and every other letter leaves for a
+    dead state; the chains merge one level per round of equal rows."""
+    sink, dead = 2 * length + 1, 2 * length + 2
+    others = [dead] * (spec.num_letters - 1)
+    rows = [[1, length + 1] + others[1:]]
+    for start in (1, length + 1):
+        for q in range(start, start + length):
+            rows.append([q + 1 if q + 1 < start + length else sink] + others)
+    rows += [[sink] * spec.num_letters, [dead] * spec.num_letters]
+    return Automaton(spec, dead + 1, 0, frozenset({sink}), rows)
+
+
+class TestMergeEqualRows:
+    @pytest.fixture(autouse=True, params=["merge-every-table", "default-cell-bound"])
+    def merge_bound(self, request, monkeypatch):
+        # the small tables here merge only with the bound lifted
+        if request.param == "merge-every-table":
+            monkeypatch.setattr(minimize, "SMALL_TABLE_CELLS", 0)
+
+    def assert_same_minimal_form(self, aut):
+        got, want = minimal_form(aut), reference_minimal_form(aut)
+        assert (got is None) == (want is None)
+        assert got is None or got.structurally_equal(want)
+        return got
+
+    def test_minimal_form_equals_the_unmerged_pipeline(self):
+        merged = not_weak = 0
+        for seed in range(25):
+            for base, dim, enc, weak in itertools.product(
+                (2, 3), (1, 2), (PARALLEL, SEQUENTIAL), (True, False)
+            ):
+                aut = repetitive(seed, base, dim, enc, weak)
+                merged += _merge_equal_rows(aut).n < aut.n
+                not_weak += self.assert_same_minimal_form(aut) is None
+        assert merged >= 200 and not_weak >= 100, (merged, not_weak)
+
+    def test_unreachable_non_weak_cycle_is_ignored(self):
+        spec = AlphabetSpec(2, 1)
+        # UNREACHABLE_NON_WEAK with state 1's row repeated in states 4 and 5
+        rows = [[0, 1, 1], [1, 1, 1], [3, 3, 3], [2, 2, 2], [1, 1, 1], [1, 1, 1]]
+        aut = Automaton(spec, 6, 0, frozenset({1, 3, 4, 5}), rows)
+        assert _merge_equal_rows(aut).n == 4
+        assert self.assert_same_minimal_form(aut).n == 2
+
+    def test_two_chains(self):
+        for length in range(1, 9):
+            for spec in (AlphabetSpec(2, 1), AlphabetSpec(3, 2), AlphabetSpec(2, 2, SEQUENTIAL)):
+                aut = two_chains(length, spec)
+                # the root, one state per level, the sink and the dead state
+                assert self.assert_same_minimal_form(aut).n == length + 3
+                # the first round merges the two last levels, one state
+                # of at least five: under a quarter, so it is not taken
+                assert _merge_equal_rows(aut) is aut
+
+    def test_interval_collapses_before_any_walk(self, monkeypatch):
+        aut = gen_interval_rva(2000)
+        quotient = _merge_equal_rows(aut)
+        assert quotient.n < 60, quotient.n
+        assert self.assert_same_minimal_form(aut).n == minimal_form(quotient).n
+        # trim, and every walk after it, reads the quotient, not the input
+        walked = []
+        monkeypatch.setattr(
+            minimize, "trim_accessible", lambda a: walked.append(a.n) or trim_accessible(a)
+        )
+        minimal_form(aut)
+        assert walked == [quotient.n]
 
 
 class TestJointEquivalence:
