@@ -21,7 +21,7 @@ from .check import (
     check_rva_parallel,
     check_rva_sequential,
 )
-from .minimize import minimal_form, minimize_weak
+from .minimize import _merge_equal_rows, minimal_form, minimize_weak
 from .shape import check_minimal_shape
 
 CHECKS = {
@@ -115,15 +115,19 @@ def cmd_classify(args):
 def cmd_minimize(args):
     aut = _load(args)
     trimmed, trim_map = trim_accessible(aut)
-    info = sccs(trimmed)
-    if not is_weak(trimmed, info):
+    merged, merge_map = _merge_equal_rows(trimmed)
+    info = sccs(merged)
+    if not is_weak(merged, info):
         print("error: automaton is not weak", file=sys.stderr)
         return 1
-    morphism = minimize_weak(trimmed, info)
+    morphism = minimize_weak(merged, info)
+    class_of = morphism.mapping  # of each trimmed state, through the merge
+    if merge_map is not None:
+        class_of = [class_of[q] for q in merge_map.tolist()]
     kept = zip(range(aut.n), range(aut.n)) if trim_map is None else trim_map.items()
     classes = {}
     for old, new in kept:
-        classes.setdefault(morphism.mapping[new], []).append(old)
+        classes.setdefault(class_of[new], []).append(old)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             write_automaton(morphism.target, handle)

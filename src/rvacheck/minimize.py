@@ -247,13 +247,14 @@ def _merge_equal_rows(aut: Automaton):
     it removes at least a quarter of the states: together the rounds
     then cost at most four first rounds.  Repeating them until no two
     rows are equal would be quadratic, as two chains into one sink merge
-    one level per round.  Returns the quotient, ``aut`` itself when no
+    one level per round.  Returns the quotient and the array that maps
+    each state of ``aut`` to its state there, or ``(aut, None)`` when no
     merge is taken.
     """
     table = aut.table
     label = np.zeros(aut.n, dtype=np.int64)
     label[list(aut.accepting)] = 1
-    initial = aut.initial
+    state_of = np.arange(aut.n)
     width = aut.alphabet.num_letters
     while True:
         n = len(table)
@@ -262,11 +263,12 @@ def _merge_equal_rows(aut: Automaton):
             break
         rep, table = _quotient(table, block, num)
         label = label[rep]
-        initial = int(block[initial])
+        state_of = block[state_of]
     if len(table) == aut.n:
-        return aut
+        return aut, None
     accepting = frozenset(np.flatnonzero(label).tolist())
-    return Automaton(aut.alphabet, len(table), initial, accepting, table)
+    quotient = Automaton(aut.alphabet, len(table), int(state_of[aut.initial]), accepting, table)
+    return quotient, state_of
 
 
 def minimal_form(aut: Automaton):
@@ -283,7 +285,7 @@ def minimal_form(aut: Automaton):
     ``SMALL_TABLE_CELLS`` cells skip the merge.
     """
     if aut.n * aut.alphabet.num_letters >= SMALL_TABLE_CELLS:
-        aut = _merge_equal_rows(aut)
+        aut, _ = _merge_equal_rows(aut)
     trimmed, _ = trim_accessible(aut)
     info = sccs(trimmed)
     if not is_weak(trimmed, info):

@@ -2,12 +2,39 @@
 search, witness expansion, and corpus generators.
 
 The searches here know nothing about minimization or component fixing.
-They work on product graphs of automaton runs: two runs on the same word
-for padding discrepancies, two runs on words differing in one component
-with dual tails for rounding discrepancies, and one run against a small
-separator monitor for shape violations.  Every "no" answer is returned
+They look for lassos in products of automaton runs: two runs on the
+same word for padding discrepancies, two runs on words differing in one
+component with dual tails for rounding discrepancies, one run against a
+small separator monitor for shape violations, and two runs from two
+states for :func:`distinguishing_lasso`.  Every "no" answer is returned
 as a concrete word or pair of words and re-verified against the plain
 acceptance semantics before being reported.
+
+One engine, :func:`_bad_lasso`, serves all four searches.  A product
+node is the integer ``(x*n_b + y)*C + c``: the states ``x`` and ``y``
+of the two runs (the shape search pairs its run with a one-state run
+that never accepts) and the state ``c`` of a control automaton.  Each
+search builds its control as a move table, ``moves[c] = [(i, j, c2),
+...]`` in search order: the first run reads letter ``i``, the second
+letter ``j``, and control goes to ``c2``.  The control is the separator
+monitor (separators read, digits read mod ``d``), plus the phase before
+or after the flip in the dual-tail search, and each control state has
+one flag: a cycle there reads valid encodings (for the shape search,
+invalid ones).  A node is bad when its control flag holds and its two
+states differ in acceptance.
+
+A lasso refutes the property exactly when its cycle lies in a bad
+recurrent component of the product, and badness is constant on every
+product component.  Along a product cycle each run stays inside one
+component of its automaton, whose states all share one acceptance when
+the automaton is weak; and neither the monitor's separator count nor
+the dual phase ever decreases, so the control flag does not change
+either.  Tarjan's algorithm therefore runs only on the subgraph the bad
+nodes induce, and acceptance is read off states, which needs the
+reachable part of each automaton to be weak: :func:`saturation_oracle`
+checks that first, on the trimmed input.  The breadth-first search that
+numbers the nodes keeps each node's parent and move, which gives a
+shortest path to the first bad recurrent node in discovery order.
 
 Witness expansion is not part of that independent ground truth.  Every
 lasso inside a pair, and the one behind a complement prefix, is read
@@ -30,79 +57,117 @@ from dataclasses import dataclass
 
 from .alphabet import AlphabetSpec, BLANK, PARALLEL, SEQUENTIAL
 from .aut_io import MAX_TABLE_CELLS, check_table_budget
-from .automaton import Automaton, is_weak, sccs, strong_components, trim_accessible
+from .automaton import Automaton, sccs, strong_components, trim_accessible
 from .fixing import dual_fixings
 from .minimize import _shortest_path, distinguishing_word
 from .verdict import NotWeak, Verdict
 from .words import (
     LassoWord,
-    PairWord,
     SignDigitError,
-    alternative_encodings,
     format_lasso,
     lasso_to_pair,
-    pair_to_lasso,
     value_real,
 )
 
 
 # ---------------------------------------------------------------------------
-# generic product-graph machinery
+# the product engine
 
 
-def _explore(start, succ_fn, depth_cap=None):
-    """BFS closure of a labelled successor relation.
+def _bad_lasso(a: Automaton, b: Automaton, start, moves, bad, depth_cap=None):
+    """The moves of a shortest path to the first bad recurrent node in
+    discovery order and of a shortest cycle back to it; None when no
+    bad component is recurrent.
 
-    Returns discovery-ordered nodes and per-node labelled edge lists
-    (successors as discovery indices).  ``depth_cap`` stops expanding
-    nodes that sit deeper than the cap (their edge lists stay empty).
+    ``start`` is the node ``(x, y, c)``, and ``moves`` and ``bad`` are
+    the control's move table and flags (see the module docstring).
+    ``depth_cap`` stops expanding nodes that deep.
     """
-    ids = {start: 0}
-    order = [start]
-    depth = [0]
-    edges = []
-    head = 0
-    while head < len(order):
-        node = order[head]
-        d = depth[head]
-        head += 1
-        row = []
-        if depth_cap is None or d < depth_cap:
-            for label, t in succ_fn(node):
-                tid = ids.get(t)
-                if tid is None:
-                    tid = len(order)
-                    ids[t] = tid
-                    order.append(t)
-                    depth.append(d + 1)
-                row.append((label, tid))
-        edges.append(row)
-    return order, edges
-
-
-def _find_bad_lasso(order, edges, is_bad_component):
-    """Shortest path to a repeating bad component, plus a cycle inside it.
-
-    Returns ``(prefix_labels, cycle_labels)`` or None.  Deterministic:
-    BFS in discovery order, first qualifying component wins.
-    """
-    succ = [[t for _, t in row] for row in edges]
-    scc_of, comps = strong_components(succ)
-    bad = set()
-    for cid, comp in enumerate(comps):
-        recurrent = len(comp) > 1 or comp[0] in succ[comp[0]]
-        if recurrent and is_bad_component(order, comp):
-            bad.add(cid)
-    if not bad:
+    n_b, size = b.n, len(moves)
+    step_a = [[t * n_b * size for t in row] for row in a.delta]
+    step_b = [[t * size for t in row] for row in b.delta]
+    acc_a = [q in a.accepting for q in range(a.n)]
+    acc_b = [q in b.accepting for q in range(b.n)]
+    x, y, c = start
+    code = (x * n_b + y) * size + c
+    ids = {code: 0}
+    order = [code]
+    parent = [0]
+    via = [None]
+    bad_codes = []
+    depth, level_end = 0, 1
+    for v, code in enumerate(order):
+        if v == level_end:
+            depth += 1
+            level_end = len(order)
+        if depth == depth_cap:
+            break
+        xy, c = divmod(code, size)
+        x, y = divmod(xy, n_b)
+        if bad[c] and acc_a[x] != acc_b[y]:
+            bad_codes.append(code)
+        ra, rb = step_a[x], step_b[y]
+        for move in moves[c]:
+            t = ra[move[0]] + rb[move[1]] + move[2]
+            if t not in ids:
+                ids[t] = len(order)
+                order.append(t)
+                parent.append(v)
+                via.append(move)
+    if not bad_codes:
         return None
 
-    edges_of = edges.__getitem__
-    prefix, entry = _shortest_path(edges_of, 0, lambda t: True, lambda v: scc_of[v] in bad)
+    dense = {code: k for k, code in enumerate(bad_codes)}  # in discovery order
+    edges = []
+    for code in bad_codes:
+        xy, c = divmod(code, size)
+        x, y = divmod(xy, n_b)
+        ra, rb = step_a[x], step_b[y]
+        row = []
+        for move in moves[c]:
+            k = dense.get(ra[move[0]] + rb[move[1]] + move[2])
+            if k is not None:
+                row.append((move, k))
+        edges.append(row)
+    succ = [[k for _, k in row] for row in edges]
+    scc_of, comps = strong_components(succ)
+    recurrent = [len(comp) > 1 or comp[0] in succ[comp[0]] for comp in comps]
+    entry = next((k for k in range(len(succ)) if recurrent[scc_of[k]]), None)
+    if entry is None:
+        return None
+
+    prefix = []
+    v = ids[bad_codes[entry]]
+    while v:
+        prefix.append(via[v])
+        v = parent[v]
     home = scc_of[entry]
     head, last = _shortest_path(
-        edges_of, entry, lambda t: scc_of[t] == home, lambda v: entry in succ[v]
+        edges.__getitem__, entry, lambda k: scc_of[k] == home, lambda k: entry in succ[k]
     )
-    return prefix, head + [next(label for label, t in edges[last] if t == entry)]
+    return prefix[::-1], head + [next(move for move, k in edges[last] if k == entry)]
+
+
+def _separator_monitor(spec: AlphabetSpec):
+    """The separator monitor's successor of each state on each letter.
+
+    State ``stars * d + k`` has read ``stars`` separators and ``k``
+    digits mod ``d``, the digits per vector; it starts at 0.  State
+    ``2d``, after a misaligned or second separator, means the word is no
+    valid encoding any more.
+    """
+    d, star = spec.seq_dim, spec.star_index
+    rows = []
+    for c in range(2 * d + 1):
+        stars, k = divmod(c, d)
+        on_digit = stars * d + (k + 1) % d if stars < 2 else c
+        on_star = d if c == 0 else 2 * d
+        rows.append([on_star if i == star else on_digit for i in range(spec.num_letters)])
+    return rows
+
+
+def _letters(spec: AlphabetSpec, moves, side):
+    return tuple(spec.letter_at(move[side]) for move in moves)
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +183,12 @@ def distinguishing_lasso(a: Automaton, q: int, b: Automaton, p: int):
     """
     if a.alphabet != b.alphabet:
         raise ValueError("states must share an alphabet")
-    width = a.alphabet.num_letters
-    info_a = sccs(a)
-    info_b = sccs(b)
-    delta_a, delta_b = a.delta, b.delta
-
-    def succ(node):
-        x, y = node
-        return [
-            (i, (delta_a[x][i], delta_b[y][i])) for i in range(width)
-        ]
-
-    def bad(order, comp):
-        x, y = order[comp[0]]
-        return info_a.accepting[info_a.scc_of[x]] != info_b.accepting[info_b.scc_of[y]]
-
-    order, edges = _explore((q, p), succ)
-    found = _find_bad_lasso(order, edges, bad)
+    moves = [[(i, i, 0) for i in range(a.alphabet.num_letters)]]
+    found = _bad_lasso(a, b, (q, p, 0), moves, [True])
     if found is None:
         return None
     u, v = found
-    letters = [a.alphabet.letter_at(i) for i in range(width)]
-    return (
-        tuple(letters[i] for i in u),
-        tuple(letters[i] for i in v),
-    )
+    return _letters(a.alphabet, u, 0), _letters(a.alphabet, v, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,54 +249,20 @@ class CounterexamplePair:
         }
 
 
-def _monitor_start():
-    return (0, 0)  # (separators seen: 0/1/2, digit count mod d_seq)
-
-
-def _monitor_step(state, is_star, d_seq):
-    stars, cls = state
-    if is_star:
-        if stars == 0 and cls == 0:
-            return (1, 0)
-        return (2, 0)  # misaligned or repeated separator: invalid for good
-    if stars >= 2:
-        return (2, 0)
-    return (stars, (cls + 1) % d_seq)
-
-
 def shape_violation_word(aut: Automaton, depth_cap=None):
     """An accepted lasso whose separators do not form a valid encoding."""
     spec = aut.alphabet
-    d_seq = spec.seq_dim
-    width = spec.num_letters
-    star = spec.star_index
-    info = sccs(aut)
-    delta = aut.delta
-
-    def succ(node):
-        q, mon = node
-        out = []
-        for i in range(width):
-            out.append((i, (delta[q][i], _monitor_step(mon, i == star, d_seq))))
-        return out
-
-    def bad(order, comp):
-        q, mon = order[comp[0]]
-        if not info.accepting[info.scc_of[q]]:
-            return False
-        # a cycle whose monitor never rests in the single-separator state
-        # repeats an invalid pattern (no separator yet, or too many)
-        return mon[0] != 1
-
-    order, edges = _explore((aut.initial, _monitor_start()), succ, depth_cap)
-    found = _find_bad_lasso(order, edges, bad)
+    monitor = _separator_monitor(spec)
+    moves = [[(i, 0, t) for i, t in enumerate(row)] for row in monitor]
+    # a cycle whose monitor never rests in the single-separator state
+    # repeats an invalid pattern (no separator yet, or too many)
+    bad = [c // spec.seq_dim != 1 for c in range(len(monitor))]
+    nowhere = Automaton(spec, 1, 0, (), [[0] * spec.num_letters])  # never accepts
+    found = _bad_lasso(aut, nowhere, (aut.initial, 0, 0), moves, bad, depth_cap)
     if found is None:
         return None
     u, v = found
-    letters = [spec.letter_at(i) for i in range(width)]
-    word = LassoWord(
-        tuple(letters[i] for i in u), tuple(letters[i] for i in v)
-    )
+    word = LassoWord(_letters(spec, u, 0), _letters(spec, v, 0))
     if not aut.accepts_lasso(word.prefix, word.period):
         raise RuntimeError("shape search produced a word the automaton rejects")
     return word
@@ -260,40 +272,19 @@ def pad_violation(aut: Automaton, depth_cap=None):
     """A valid encoding whose zero-padded variant is classified differently."""
     spec = aut.alphabet
     d_seq = spec.seq_dim
-    width = spec.num_letters
-    star = spec.star_index
-    info = sccs(aut)
-    delta = aut.delta
     pad = (spec.zero_letter(),) * d_seq
     padded_start = aut.run_prefix(aut.initial, pad)
     if padded_start == aut.initial:
         return None
-
-    def succ(node):
-        x, y, mon = node
-        out = []
-        for i in range(width):
-            nmon = _monitor_step(mon, i == star, d_seq)
-            if nmon[0] == 2:
-                continue  # word would stop being a valid encoding
-            out.append((i, (delta[x][i], delta[y][i], nmon)))
-        return out
-
-    def bad(order, comp):
-        x, y, mon = order[comp[0]]
-        if mon[0] != 1:
-            return False
-        ax = info.accepting[info.scc_of[x]]
-        ay = info.accepting[info.scc_of[y]]
-        return ax != ay
-
-    order, edges = _explore((aut.initial, padded_start, _monitor_start()), succ, depth_cap)
-    found = _find_bad_lasso(order, edges, bad)
+    monitor = _separator_monitor(spec)
+    # a move into the invalid state would end the encoding: none is kept
+    moves = [[(i, i, t) for i, t in enumerate(row) if t < 2 * d_seq] for row in monitor]
+    bad = [c // d_seq == 1 for c in range(len(monitor))]
+    found = _bad_lasso(aut, aut, (aut.initial, padded_start, 0), moves, bad, depth_cap)
     if found is None:
         return None
     u, v = found
-    letters = [spec.letter_at(i) for i in range(width)]
-    plain = LassoWord(tuple(letters[i] for i in u), tuple(letters[i] for i in v))
+    plain = LassoWord(_letters(spec, u, 0), _letters(spec, v, 0))
     padded = LassoWord(pad + plain.prefix, plain.period)
     if aut.accepts_lasso(plain.prefix, plain.period):
         return CounterexamplePair(plain, padded, spec)
@@ -339,62 +330,38 @@ def dual_violation(aut: Automaton, f: int, depth_cap=None):
     saturation.
     """
     spec = aut.alphabet
-    d_seq = spec.seq_dim
-    width = spec.num_letters
-    star = spec.star_index
-    info = sccs(aut)
+    d_seq, star = spec.seq_dim, spec.star_index
     flip, forced = _dual_pairs(spec, f)
     sequential = spec.kind == SEQUENTIAL
-    delta = aut.delta
-
-    def succ(node):
-        x, y, phase, mon = node
-        out = []
-        for i in range(width):
-            nmon = _monitor_step(mon, i == star, d_seq)
-            if nmon[0] == 2:
-                continue
-            if i == star:
-                out.append(((i, i), (delta[x][star], delta[y][star], phase, nmon)))
-                continue
-            if phase == 0:
-                out.append(((i, i), (delta[x][i], delta[y][i], 0, nmon)))
-                j = flip.get(i)
-                if j is not None and (not sequential or mon[1] == f):
-                    out.append(((i, j), (delta[x][i], delta[y][j], 1, nmon)))
-            else:
-                if sequential and mon[1] != f:
-                    out.append(((i, i), (delta[x][i], delta[y][i], 1, nmon)))
-        if phase == 1:
-            stars_seen, cls = mon
-            for i, j in forced:
-                if sequential and cls != f:
-                    continue
-                nmon = _monitor_step(mon, False, d_seq)
-                out.append(((i, j), (delta[x][i], delta[y][j], 1, nmon)))
-        return out
-
-    def bad(order, comp):
-        x, y, phase, mon = order[comp[0]]
-        if phase != 1 or mon[0] != 1:
-            return False
-        ax = info.accepting[info.scc_of[x]]
-        ay = info.accepting[info.scc_of[y]]
-        return ax != ay
-
-    start = (aut.initial, aut.initial, 0, _monitor_start())
-    order, edges = _explore(start, succ, depth_cap)
-    found = _find_bad_lasso(order, edges, bad)
+    monitor = _separator_monitor(spec)
+    flipped = len(monitor)  # control state: phase * flipped + monitor state
+    moves = []
+    for phase in (0, 1):
+        for c, after in enumerate(monitor):
+            at_f = not sequential or c % d_seq == f  # this digit is component f's
+            row = []
+            for i, t in enumerate(after):
+                if t == 2 * d_seq:
+                    continue  # the word would stop being a valid encoding
+                if i == star:
+                    row.append((i, i, phase * flipped + t))
+                elif phase == 0:
+                    row.append((i, i, t))
+                    if i in flip and at_f:
+                        row.append((i, flip[i], flipped + t))
+                elif not at_f:
+                    row.append((i, i, flipped + t))
+            if phase == 1 and at_f:
+                # after[0]: the monitor's successor on any digit
+                row += [(i, j, flipped + after[0]) for i, j in forced]
+            moves.append(row)
+    bad = [phase == 1 and c // d_seq == 1 for phase in (0, 1) for c in range(flipped)]
+    found = _bad_lasso(aut, aut, (aut.initial, aut.initial, 0), moves, bad, depth_cap)
     if found is None:
         return None
     u, v = found
-    letters = [spec.letter_at(i) for i in range(width)]
-    hi = LassoWord(
-        tuple(letters[i] for i, _ in u), tuple(letters[i] for i, _ in v)
-    )
-    lo = LassoWord(
-        tuple(letters[j] for _, j in u), tuple(letters[j] for _, j in v)
-    )
+    hi = LassoWord(_letters(spec, u, 0), _letters(spec, v, 0))
+    lo = LassoWord(_letters(spec, u, 1), _letters(spec, v, 1))
     if aut.accepts_lasso(hi.prefix, hi.period):
         return CounterexamplePair(hi, lo, spec)
     return CounterexamplePair(lo, hi, spec)
@@ -409,14 +376,15 @@ def saturation_oracle(aut: Automaton, sample_bound=None) -> Verdict:
     length of counterexample prefixes considered; with the default
     (None) the search is exhaustive over the product graphs, so a "yes"
     means no counterexample of any prefix length exists in these
-    families.
+    families.  Weakness, which the searches rely on, is decided on the
+    reachable part, as the checks decide it.
     """
     spec = aut.alphabet
     if spec.fixed:
         raise ValueError("the saturation oracle reads unfixed alphabets")
-    if not is_weak(aut):
-        return Verdict(False, NotWeak())
     aut, _ = trim_accessible(aut)
+    if not sccs(aut).weak:
+        return Verdict(False, NotWeak())
 
     word = shape_violation_word(aut, sample_bound)
     if word is not None:
@@ -556,37 +524,6 @@ def expand_witness(verdict: Verdict, mode: str):
             m, w.component, access + (w.letter,), access + (w.bumped_letter,), signed
         )
 
-    return None
-
-
-# ---------------------------------------------------------------------------
-# literal enumeration (cross-validation of the product searches)
-
-
-def enumerate_encoding_words(spec: AlphabetSpec, max_natural, max_period):
-    """Every one-separator pair word within small natural/period bounds."""
-    import itertools
-
-    digits = list(spec.digit_letters())
-    for nat_len in range(max_natural + 1):
-        for per_len in range(1, max_period + 1):
-            for nat in itertools.product(digits, repeat=nat_len):
-                for per in itertools.product(digits, repeat=per_len):
-                    yield PairWord(nat, per, frozenset({nat_len}))
-
-
-def saturation_oracle_enumerative(aut: Automaton, max_natural=3, max_period=2):
-    """Literal bounded enumeration: accepted encodings must keep all their
-    alternative encodings accepted.  Exponential; only for tiny automata."""
-    spec = aut.alphabet
-    for pw in enumerate_encoding_words(spec, max_natural, max_period):
-        word = pair_to_lasso(pw)
-        if not aut.accepts_lasso(word.prefix, word.period):
-            continue
-        for alt in alternative_encodings(pw, spec):
-            other = pair_to_lasso(alt)
-            if not aut.accepts_lasso(other.prefix, other.period):
-                return CounterexamplePair(word, other, spec)
     return None
 
 

@@ -13,7 +13,7 @@ from rvacheck.automaton import (
     strong_components,
     trim_accessible,
 )
-from rvacheck.oracle import _explore, gen_random_weak
+from rvacheck.oracle import gen_random_weak
 
 
 def _tarjan_reference(succ):
@@ -186,17 +186,20 @@ class TestSccs:
     @given(st.integers(0, 500), st.integers(1, 8), st.sampled_from([1, 2]))
     @settings(max_examples=40, deadline=None)
     def test_product_graph_matches_networkx(self, seed, n, dim):
-        # the two-run product graph the oracle's lasso search walks
+        # a two-run product graph, like those the oracle's lasso search walks
         a = gen_random_weak(n, 2, dim, "parallel", seed)
         b = gen_random_weak(1 + seed % 7, 2, dim, "parallel", seed + 1)
-        width = a.alphabet.num_letters
-
-        def succ_fn(node):
-            x, y = node
-            return [(i, (a.delta[x][i], b.delta[y][i])) for i in range(width)]
-
-        _, edges = _explore((a.initial, b.initial), succ_fn)
-        succ = [[t for _, t in row] for row in edges]
+        order = [(a.initial, b.initial)]
+        ids = {order[0]: 0}
+        succ = []
+        for x, y in order:
+            row = []
+            for t in zip(a.delta[x], b.delta[y]):
+                if t not in ids:
+                    ids[t] = len(order)
+                    order.append(t)
+                row.append(ids[t])
+            succ.append(row)
         _assert_components(succ, *strong_components(succ))
 
 

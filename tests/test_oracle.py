@@ -1,16 +1,24 @@
+import itertools
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rvacheck.alphabet import STAR, AlphabetSpec
+from rvacheck.alphabet import PARALLEL, SEQUENTIAL, STAR, AlphabetSpec
 from rvacheck.aut_io import serialize_automaton
-from rvacheck.automaton import Automaton, is_weak
-from rvacheck.check import check_rva_complement_parallel, check_rva_parallel
-from rvacheck.minimize import minimize_weak
+from rvacheck.automaton import Automaton, is_weak, sccs, strong_components
+from rvacheck.check import (
+    check_rva_complement_parallel,
+    check_rva_parallel,
+    check_rva_sequential,
+)
+from rvacheck.minimize import _shortest_path, minimize_weak
 from rvacheck.oracle import (
     CounterexamplePair,
+    _dual_pairs,
     distinguishing_lasso,
     dual_violation,
     expand_witness,
@@ -22,10 +30,202 @@ from rvacheck.oracle import (
     pad_violation,
     parallelize_automaton,
     saturation_oracle,
-    saturation_oracle_enumerative,
     shape_violation_word,
 )
-from rvacheck.words import LassoWord, lasso_to_pair, value_real
+from rvacheck.words import (
+    LassoWord,
+    PairWord,
+    alternative_encodings,
+    lasso_to_pair,
+    pair_to_lasso,
+    value_real,
+)
+
+
+# ---------------------------------------------------------------------------
+# literal enumeration (cross-validation of the product searches)
+
+
+def enumerate_encoding_words(spec: AlphabetSpec, max_natural, max_period):
+    """Every one-separator pair word within small natural/period bounds."""
+    digits = list(spec.digit_letters())
+    for nat_len in range(max_natural + 1):
+        for per_len in range(1, max_period + 1):
+            for nat in itertools.product(digits, repeat=nat_len):
+                for per in itertools.product(digits, repeat=per_len):
+                    yield PairWord(nat, per, frozenset({nat_len}))
+
+
+def saturation_oracle_enumerative(aut: Automaton, max_natural=3, max_period=2):
+    """Literal bounded enumeration: accepted encodings must keep all their
+    alternative encodings accepted.  Exponential; only for tiny automata."""
+    spec = aut.alphabet
+    for pw in enumerate_encoding_words(spec, max_natural, max_period):
+        word = pair_to_lasso(pw)
+        if not aut.accepts_lasso(word.prefix, word.period):
+            continue
+        for alt in alternative_encodings(pw, spec):
+            other = pair_to_lasso(alt)
+            if not aut.accepts_lasso(other.prefix, other.period):
+                return CounterexamplePair(word, other, spec)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# full-graph reference for the product searches: tuple nodes, Tarjan on
+# the whole explored product, acceptance read off SCC flags
+
+
+def reference_lasso(start, succ, bad, depth_cap=None):
+    """Labels of a shortest path into the first bad recurrent component in
+    BFS order and of a shortest cycle back to its entry, or None.
+
+    ``succ(node)`` lists ``(label, node)`` edges; ``bad(node)`` is asked
+    of one member of each recurrent component.
+    """
+    ids, order, depth, edges = {start: 0}, [start], [0], []
+    for v, node in enumerate(order):
+        row = []
+        if depth_cap is None or depth[v] < depth_cap:
+            for label, t in succ(node):
+                if t not in ids:
+                    ids[t] = len(order)
+                    order.append(t)
+                    depth.append(depth[v] + 1)
+                row.append((label, ids[t]))
+        edges.append(row)
+    targets = [[t for _, t in row] for row in edges]
+    scc_of, comps = strong_components(targets)
+    bad_ids = {
+        cid
+        for cid, comp in enumerate(comps)
+        if (len(comp) > 1 or comp[0] in targets[comp[0]]) and bad(order[comp[0]])
+    }
+    if not bad_ids:
+        return None
+    prefix, entry = _shortest_path(
+        edges.__getitem__, 0, lambda t: True, lambda v: scc_of[v] in bad_ids
+    )
+    home = scc_of[entry]
+    head, last = _shortest_path(
+        edges.__getitem__, entry, lambda t: scc_of[t] == home, lambda v: entry in targets[v]
+    )
+    return prefix, head + [next(label for label, t in edges[last] if t == entry)]
+
+
+def settled_acceptance(aut):
+    info = sccs(aut)
+    return [info.accepting[info.scc_of[q]] for q in range(aut.n)]
+
+
+def monitor_step(state, is_star, d_seq):
+    """(separators seen: 0/1/2, digit count mod d_seq) after one letter."""
+    stars, cls = state
+    if is_star:
+        return (1, 0) if stars == 0 and cls == 0 else (2, 0)
+    if stars >= 2:
+        return (2, 0)
+    return (stars, (cls + 1) % d_seq)
+
+
+def reference_shape_lasso(aut, depth_cap):
+    spec, delta, acc = aut.alphabet, aut.delta, settled_acceptance(aut)
+
+    def succ(node):
+        q, mon = node
+        return [
+            (i, (delta[q][i], monitor_step(mon, i == spec.star_index, spec.seq_dim)))
+            for i in range(spec.num_letters)
+        ]
+
+    return reference_lasso(
+        (aut.initial, (0, 0)), succ, lambda node: acc[node[0]] and node[1][0] != 1, depth_cap
+    )
+
+
+def reference_pad_lasso(aut, depth_cap):
+    spec, delta, acc = aut.alphabet, aut.delta, settled_acceptance(aut)
+    padded = aut.run_prefix(aut.initial, (spec.zero_letter(),) * spec.seq_dim)
+    if padded == aut.initial:
+        return None
+
+    def succ(node):
+        x, y, mon = node
+        out = []
+        for i in range(spec.num_letters):
+            after = monitor_step(mon, i == spec.star_index, spec.seq_dim)
+            if after[0] < 2:
+                out.append((i, (delta[x][i], delta[y][i], after)))
+        return out
+
+    def bad(node):
+        x, y, mon = node
+        return mon[0] == 1 and acc[x] != acc[y]
+
+    return reference_lasso((aut.initial, padded, (0, 0)), succ, bad, depth_cap)
+
+
+def reference_dual_lasso(aut, f, depth_cap):
+    spec, delta, acc = aut.alphabet, aut.delta, settled_acceptance(aut)
+    star, d_seq = spec.star_index, spec.seq_dim
+    flip, forced = _dual_pairs(spec, f)
+    sequential = spec.kind == SEQUENTIAL
+
+    def succ(node):
+        x, y, phase, mon = node
+        at_f = not sequential or mon[1] == f
+        out = []
+        for i in range(spec.num_letters):
+            after = monitor_step(mon, i == star, d_seq)
+            if after[0] == 2:
+                continue
+            if i == star:
+                out.append(((i, i), (delta[x][i], delta[y][i], phase, after)))
+            elif phase == 0:
+                out.append(((i, i), (delta[x][i], delta[y][i], 0, after)))
+                if i in flip and at_f:
+                    out.append(((i, flip[i]), (delta[x][i], delta[y][flip[i]], 1, after)))
+            elif not at_f:
+                out.append(((i, i), (delta[x][i], delta[y][i], 1, after)))
+        if phase == 1 and at_f:
+            after = monitor_step(mon, False, d_seq)
+            for i, j in forced:
+                out.append(((i, j), (delta[x][i], delta[y][j], 1, after)))
+        return out
+
+    def bad(node):
+        x, y, phase, mon = node
+        return phase == 1 and mon[0] == 1 and acc[x] != acc[y]
+
+    return reference_lasso((aut.initial, aut.initial, 0, (0, 0)), succ, bad, depth_cap)
+
+
+def reference_distinguishing_lasso(a, q, b, p):
+    acc_a, acc_b = settled_acceptance(a), settled_acceptance(b)
+
+    def succ(node):
+        x, y = node
+        return [(i, (a.delta[x][i], b.delta[y][i])) for i in range(a.alphabet.num_letters)]
+
+    return reference_lasso((q, p), succ, lambda node: acc_a[node[0]] != acc_b[node[1]])
+
+
+def lasso_of(spec, found, side=None):
+    """The reference's labels as a lasso word; ``side`` picks from label pairs."""
+    u, v = found
+
+    def letters(labels):
+        return tuple(spec.letter_at(i if side is None else i[side]) for i in labels)
+
+    return LassoWord(letters(u), letters(v))
+
+
+def with_unreachable_non_weak_cycle(aut):
+    """``aut`` plus two states that swap on every letter, one accepting,
+    unreachable from the rest (the ``UNREACHABLE_NON_WEAK`` pattern)."""
+    n, width = aut.n, aut.alphabet.num_letters
+    rows = aut.delta + [[n + 1] * width, [n] * width]
+    return Automaton(aut.alphabet, n + 2, aut.initial, aut.accepting | {n + 1}, rows)
 
 
 class TestBruteforceEquality:
@@ -86,7 +286,75 @@ class TestViolationSearches:
         ).count(STAR) >= 2
 
 
+class TestProductEngine:
+    """Every search against the full-graph reference above."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 8),
+        base=st.sampled_from([2, 3]),
+        dim=st.sampled_from([1, 2]),
+        encoding=st.sampled_from([PARALLEL, SEQUENTIAL]),
+        shaped=st.booleans(),
+        depth_cap=st.none() | st.integers(0, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_searches_match_the_full_graph_reference(
+        self, seed, n, base, dim, encoding, shaped, depth_cap, data
+    ):
+        if shaped:  # these pass the shape search, so pad and dual pairs show
+            aut = gen_random_sequential_shaped(7 + n, base, dim, seed)
+            if encoding == PARALLEL:
+                aut = parallelize_automaton(aut)
+        else:
+            aut = gen_random_weak(n, base, dim, encoding, seed)
+        spec = aut.alphabet
+
+        found = reference_shape_lasso(aut, depth_cap)
+        expected = None if found is None else lasso_of(spec, found)
+        assert shape_violation_word(aut, depth_cap) == expected
+
+        found = reference_pad_lasso(aut, depth_cap)
+        pair = pad_violation(aut, depth_cap)
+        if found is None:
+            assert pair is None
+        else:
+            plain = lasso_of(spec, found)
+            pad = (spec.zero_letter(),) * spec.seq_dim
+            padded = LassoWord(pad + plain.prefix, plain.period)
+            assert {pair.accepted, pair.rejected} == {plain, padded}
+
+        for f in range(dim):
+            found = reference_dual_lasso(aut, f, depth_cap)
+            pair = dual_violation(aut, f, depth_cap)
+            if found is None:
+                assert pair is None
+            else:
+                hi, lo = lasso_of(spec, found, 0), lasso_of(spec, found, 1)
+                assert {pair.accepted, pair.rejected} == {hi, lo}
+
+        other = gen_random_weak(data.draw(st.integers(1, 8)), base, dim, encoding, seed + 1)
+        q = data.draw(st.integers(0, aut.n - 1))
+        p = data.draw(st.integers(0, other.n - 1))
+        found = reference_distinguishing_lasso(aut, q, other, p)
+        word = None if found is None else lasso_of(spec, found)
+        expected = None if word is None else (word.prefix, word.period)
+        assert distinguishing_lasso(aut, q, other, p) == expected
+
+
 class TestSaturationOracle:
+    @pytest.mark.parametrize("encoding", [PARALLEL, SEQUENTIAL])
+    @pytest.mark.parametrize("kind", ["full-space", "zero-only", "unit-box"])
+    def test_unreachable_non_weak_part_is_ignored(self, kind, encoding):
+        check = check_rva_parallel if encoding == PARALLEL else check_rva_sequential
+        for base, dim in itertools.product((2, 3), (1, 2)):
+            aut = with_unreachable_non_weak_cycle(gen_known_rva(kind, base, dim, encoding))
+            assert not is_weak(aut)
+            assert check(aut).answer
+            verdict = saturation_oracle(aut)
+            assert verdict.answer, verdict.witness
+
     def test_full_space_yes(self):
         verdict = saturation_oracle(gen_known_rva("full-space", 2, 2), 6)
         assert verdict.answer
