@@ -40,8 +40,8 @@ def _load(args):
 
 def _emit(args, payload, human_lines):
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # one-shot dumps without an indent: the only form json encodes in C
+        sys.stdout.write(json.dumps(payload) + "\n")
     else:
         for line in human_lines:
             print(line)

@@ -18,17 +18,27 @@ colors to the stable partition, ``gen_residue_rva(6911)`` and
 sequential product of two residue automata 17.
 
 Before any of this, :func:`minimal_form` merges states with equal
-acceptance and equal rows, round after round on the array, and hands
-the quotient to trim, SCCs, colors and refinement.  Merged states are
-bisimilar and the minimal weak automaton is unique, so the result is
-the same.  ``gen_interval_rva(25086)`` goes from 25086 states to 48 in
-11 merge rounds (its refinement still takes 15); the residue and
-product inputs take 1 round and merge nothing.
+acceptance and equal rows on the array; merged states are bisimilar,
+so the minimal form is the same.  Its docstring has the measurements.
 
 Quotients, unions and classes stay arrays: the minimal automaton's
 table is one gather of block ids, a union stacks its members' tables
 with state offsets, and :class:`EquivalenceTable` keeps one class array
 per automaton.
+
+A union is colored on one of two paths (:func:`_weak_union`): Tarjan
+(:func:`sccs`) and the loop of :func:`normalized_colors`, or pointer
+doubling when it has ``SMALL_TABLE_CELLS`` cells or more and one digit
+function, the only non-separator column that leads anywhere but to an
+all-loop state (a d = 1 fixing, either encoding): ``ceil(log2 n)``
+rounds of gathers in each of at most five passes, O(n log n) array
+work.  A shaped minimal form's separator lies on no cycle but the dead
+sink's: it leads from integer states to fractional ones or the dead
+state, and from fractional ones to the dead state.  So the other edges
+peel in four layers: a sequential fixing's fresh sink, the dead state,
+fractional, integer.  Both paths give the same colors and components;
+d >= 2, a separator on a cycle, a non-weak cycle or a fifth layer take
+Tarjan.
 
 The rounds also hold short distinguishing words: two states first split
 in round ``k`` have a letter whose successors are apart in round
@@ -309,10 +319,11 @@ class EquivalenceTable:
 
 
 def _weak_union(automata):
-    """Disjoint union of weak automata over one alphabet.
+    """Disjoint union of weak automata over one alphabet, and its colors.
 
     The union is rooted at the first automaton's initial state.  Returns
-    it with each automaton's state offset in it and its components.
+    it, each automaton's state offset in it, and per state the color and
+    component id, with recurrence and acceptance per component id.
     """
     if not automata:
         raise ValueError("need at least one automaton")
@@ -326,11 +337,57 @@ def _weak_union(automata):
         q + off for a, off in zip(automata, offsets) for q in a.accepting
     )
     union = Automaton(spec, offsets[-1], automata[0].initial, accepting, table)
+    big = union.n * spec.num_letters >= SMALL_TABLE_CELLS
+    colors = _doubling_colors(union) if big else None
+    if colors is None:
+        info = sccs(union)
+        if not info.weak:
+            raise ValueError("automata must be weak")
+        colors = normalized_colors(union, info), info.scc_of, info.recurrent, info.accepting
+    return union, offsets[:-1], colors
 
-    info = sccs(union)
-    if not is_weak(union, info):
-        raise ValueError("automata must be weak")
-    return union, offsets[:-1], info
+
+def _doubling_colors(aut: Automaton):
+    """The colors of :func:`_weak_union` by pointer doubling, or None.
+
+    A state joins a layer once its whole orbit under the digit column
+    ``g`` sends every other edge into its cycle or an earlier layer; no
+    edge climbs a layer, so the components are ``g``'s cycles and single
+    transient states."""
+    table = aut.table
+    n = len(table)
+    states = np.arange(n)
+    sink = (table == states[:, None]).all(axis=1)
+    live = np.flatnonzero(~sink[table[:, :-1]].all(axis=0))  # digit columns
+    if len(live) != 1:
+        return None
+    g = table[:, live[0]]
+    others = np.delete(table, live[0], axis=1)
+    jumps, low = [g], states  # g to the powers 1, 2, 4, ..., 2^k >= n
+    for _ in range(max(1, (n - 1).bit_length())):
+        low = np.minimum(low, low[jumps[-1]])  # cycle id: smallest state
+        jumps.append(jumps[-1][jumps[-1]])
+    end = jumps.pop()  # on each state's cycle: they are its image
+    cyclic = np.bincount(end, minlength=n) > 0
+    acc = np.bincount(list(aut.accepting), minlength=n) > 0
+    if (acc[cyclic] != acc[g[cyclic]]).any():
+        return None  # a cycle that is not weak
+    comp = np.where(cyclic, low, states)
+    inside = cyclic[others] & (comp[others] == comp[end][:, None])
+    color = np.full(n, -1)
+    for _ in range(4):  # fresh sink, dead state, fractional, integer
+        placed = color >= 0
+        if placed.all():
+            break
+        top = np.where(inside, -1, np.where(placed[others], color[others], n + 1)).max(1)
+        for jump in jumps:  # max along each whole orbit
+            top = np.maximum(top, top[jump])
+        new = (top <= n) & ~placed  # n + 1 above every color: an edge unplaced
+        cyc, tail = new & cyclic, new & ~cyclic
+        floor = np.maximum(top[cyc], 0)  # the parity rule of normalized_colors
+        color[cyc] = np.where(acc[cyc], (floor + 1) & ~1, floor | 1)
+        color[tail] = np.maximum(top[tail], color[end[tail]])
+    return None if (color < 0).any() else (color, comp, cyclic, cyclic & acc)
 
 
 def joint_equivalence(automata) -> EquivalenceTable:
@@ -339,11 +396,12 @@ def joint_equivalence(automata) -> EquivalenceTable:
     The automata are glued into a disjoint union, rooted at the first
     one's initial state.  Colors and refinement cover every state of the
     union, reachable or not, so two states end up in the same class
-    exactly when their languages agree.
+    exactly when their languages agree.  Large unions with one digit
+    function (d = 1 fixings, whose separator peels in four layers) are
+    colored by pointer doubling, the rest by Tarjan (module docstring).
     """
     automata = list(automata)
-    union, offsets, info = _weak_union(automata)
-    colors = normalized_colors(union, info)
+    union, offsets, (colors, *_) = _weak_union(automata)
     block = refine_partition(union.table, colors)
     classes = tuple(block[off : off + a.n] for off, a in zip(offsets, automata))
     return EquivalenceTable(tuple(automata), classes)
@@ -382,7 +440,8 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
     :func:`rvacheck.oracle.distinguishing_lasso`, read off the
     minimizer's refinement instead of the product of the two automata.
 
-    1. Color the disjoint union and refine it until ``q`` and ``p``
+    1. Color the disjoint union, by pointer doubling or by Tarjan as in
+       :func:`joint_equivalence`, and refine it until ``q`` and ``p``
        split.
     2. Descend the rounds: a pair first split in round ``k`` has a
        letter whose successors are apart in round ``k-1``.  After at
@@ -403,8 +462,8 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
     most one pass of the cycle per state of the other side.  The lasso
     is short but not always the shortest.
     """
-    union, (_, off), info = _weak_union([a, b])
-    color = normalized_colors(union, info)
+    union, (_, off), colors = _weak_union([a, b])
+    color, scc_of, recurrent, accepting = (np.asarray(x).tolist() for x in colors)
     x, y = q, p + off
     rounds = []  # the rounds before the one that splits q and p
     for block in _refinement_rounds(union.table, color):
@@ -423,7 +482,6 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
             word.append(i)
             x, y = rx[i], ry[i]
 
-    scc_of, recurrent, accepting = info.scc_of, info.recurrent, info.accepting
     if color[x] < color[y]:
         x, y = y, x
     c = color[x]

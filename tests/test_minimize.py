@@ -1,12 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rvacheck import minimize
 from rvacheck.alphabet import PARALLEL, SEQUENTIAL, AlphabetSpec
-from rvacheck.automaton import Automaton, is_weak, sccs, trim_accessible
-from rvacheck.fixing import fix_parallel, fix_sequential
+from rvacheck.automaton import SMALL_TABLE_CELLS, Automaton, is_weak, sccs, trim_accessible
+from rvacheck.fixing import dual_fixings, fix_parallel, fix_sequential
 from rvacheck.minimize import (
     _merge_equal_rows,
     distinguishing_word,
@@ -20,6 +21,7 @@ from rvacheck.oracle import (
     gen_known_rva,
     gen_random_sequential_shaped,
     gen_random_weak,
+    gen_residue_rva,
     parallelize_automaton,
 )
 from tests.conftest import reference_minimal_form
@@ -275,6 +277,96 @@ class TestJointEquivalence:
         b = gen_known_rva("full-space", 3, 1)
         with pytest.raises(ValueError):
             joint_equivalence([a, b])
+
+
+def doubling_unions():
+    """Dual-fixing unions of shaped d = 1 automata, as drawn and
+    parallelized, and of the residue and interval families."""
+    for seed in range(12):
+        for base, n in itertools.product((2, 3), (8, 13, 21, 34, 64)):
+            shaped = gen_random_sequential_shaped(n, base, 1, seed)
+            yield shaped
+            yield parallelize_automaton(shaped)
+    for n, base in itertools.product((7, 8, 30, 257), (2, 3)):
+        yield gen_residue_rva(n, base)
+        yield gen_interval_rva(n, base)
+
+
+def fixing_union(aut, f=0):
+    hi, lo = dual_fixings(minimal_form(aut), f)
+    return minimize._weak_union([hi.automaton, lo.automaton])[0]
+
+
+def canonical(ids):
+    first = {}
+    return [first.setdefault(x, len(first)) for x in ids]
+
+
+def two_column(rows, accepting=()):
+    """An automaton over ``#`` and ``*``, the columns of a d = 1 fixing."""
+    return Automaton(AlphabetSpec(2, 1, PARALLEL, {0}), len(rows), 0, accepting, rows)
+
+
+def separator_chain(length):
+    """Self-looping states, each led by its separator to the one before."""
+    return two_column([[q, max(q - 1, 0)] for q in range(length)])
+
+
+class TestDoublingColors:
+    def assert_like_tarjan(self, union):
+        found = minimize._doubling_colors(union)
+        assert found is not None
+        color, comp, recurrent, accepting = found
+        info = sccs(union)
+        assert color.tolist() == minimize.normalized_colors(union, info)
+        assert canonical(comp.tolist()) == canonical(info.scc_of)
+        assert recurrent[comp].tolist() == [info.recurrent[c] for c in info.scc_of]
+        assert accepting[comp].tolist() == [info.accepting[c] for c in info.scc_of]
+
+    def test_equals_tarjan_on_dimension_one_fixings(self):
+        checked = 0
+        for aut in doubling_unions():
+            union = fixing_union(aut)
+            if union.n == 2 and union.alphabet.is_parallel:
+                continue  # the dead state alone: no column leads anywhere
+            self.assert_like_tarjan(union)
+            checked += 1
+        assert checked > 200
+
+    def test_four_layers_suffice_and_a_fifth_declines(self):
+        self.assert_like_tarjan(separator_chain(4))
+        assert minimize._doubling_colors(separator_chain(5)) is None
+
+    def test_declines_off_its_case(self):
+        wide = parallelize_automaton(gen_random_sequential_shaped(30, 2, 2, 1))
+        assert minimize._doubling_colors(fixing_union(wide)) is None
+        # the separator leads from 1 to 2 and back to 0: one component
+        closing = two_column([[1, 0], [0, 2], [2, 0]])
+        assert minimize._doubling_colors(closing) is None
+        assert len(sccs(closing).components) == 1
+
+    def test_non_weak_cycle_declines_and_raises(self):
+        size = SMALL_TABLE_CELLS  # two copies reach the union size gate
+        rows = [[(q + 1) % size, size] for q in range(size)] + [[size, size]]
+        aut = two_column(rows, {0})
+        assert minimize._doubling_colors(aut) is None
+        with pytest.raises(ValueError):
+            joint_equivalence([aut, aut])
+        with pytest.raises(ValueError):
+            distinguishing_word(aut, 0, aut, 1)
+
+    def test_large_unions_match_the_tarjan_path(self, monkeypatch):
+        residue = minimal_form(gen_residue_rva(1500))  # unions above the size gate
+        hi, lo = (x.automaton for x in dual_fixings(residue, 0))
+        union = minimize._weak_union([hi, lo])[0]
+        assert minimize._doubling_colors(union) is not None
+        pairs = [(q, p) for q in range(0, residue.n, 97) for p in (q, q + 1, 0)]
+        doubled = joint_equivalence([hi, lo]).classes
+        words = [distinguishing_word(hi, q, lo, p % residue.n) for q, p in pairs]
+        monkeypatch.setattr(minimize, "_doubling_colors", lambda union: None)
+        assert all(map(np.array_equal, doubled, joint_equivalence([hi, lo]).classes))
+        assert words == [distinguishing_word(hi, q, lo, p % residue.n) for q, p in pairs]
+        assert any(word is not None for word in words)
 
 
 def accepts_from(aut, q, word):
