@@ -6,12 +6,22 @@ are ``d``-vectors of digits, sequential letters are single digits; both
 kinds additionally contain the separator ``*`` that splits the integer
 part of an encoding from its fractional part.  A fixed component carries
 the atomic placeholder ``#`` instead of a digit.
+
+Letters are indices.  Non-separator letters are numbered in mixed-radix
+order over the free components, component 0 most significant, and the
+separator comes last.  Every letter set a check needs (the columns of a
+fixing, the letters with a digit below ``b-1`` and their bumps, the sign
+letters) is index arithmetic on that order, built from
+:meth:`AlphabetSpec.digits`; a letter tuple is made only to report a
+witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 STAR = "*"
 BLANK = "#"
@@ -90,6 +100,34 @@ class AlphabetSpec:
     def letters(self):
         yield from self.digit_letters()
         yield STAR
+
+    def digits(self, f):
+        """Component ``f`` of every non-separator letter, by index, and its weight.
+
+        Returns ``(digit, weight)``: ``digit[i]`` is component ``f`` of the
+        letter with index ``i``, and adding ``weight`` to an index raises
+        that component by one.  A sequential letter is one digit, so its
+        digits are its indices and its weight is 1; its alphabet must be
+        unfixed.
+        """
+        if not (0 <= f < self.dim) or f in self.fixed:
+            raise ValueError(f"component {f} is not a free component")
+        index = np.arange(self.num_letters - 1)
+        if self.is_parallel:
+            weight = self.base ** sum(1 for i in self.free_components if i > f)
+            return index // weight % self.base, weight
+        if self.fixed:
+            raise ValueError("a fixed sequential alphabet has a placeholder, not digits")
+        return index, 1
+
+    def sign_mask(self):
+        """Which non-separator letters are sign letters: every free
+        component is ``0`` or ``b-1``."""
+        mask = np.ones(self.num_letters - 1, dtype=bool)
+        for f in self.free_components:
+            digit = self.digits(f)[0]
+            mask &= (digit == 0) | (digit == self.base - 1)
+        return mask
 
     def zero_letter(self):
         """The all-zero digit letter (fixed components stay ``#``)."""

@@ -18,6 +18,8 @@ the first violated one.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .alphabet import PARALLEL, SEQUENTIAL
 from .automaton import Automaton
 from .fixing import dual_fixings
@@ -31,13 +33,6 @@ from .verdict import (
     Verdict,
     ZeroLoopBroken,
 )
-
-
-def _bump(letter, f):
-    """``letter`` with component ``f`` one higher; a sequential letter is one digit."""
-    if isinstance(letter, int):
-        return letter + 1
-    return letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
 
 
 def _first_mismatch(bad):
@@ -59,24 +54,21 @@ def _dual_tails(m, f, skip=None):
     Jointly minimizes the fixings of ``f`` to ``b-1`` and to ``0``, then
     checks, letter by letter, that each state's successor on a letter
     and on the letter with ``f`` bumped have the same residual language
-    in the respective fixing.  In a sequential automaton ``f`` is the
-    last component and the letters are the digits below ``b-1``.
-    Returns the equivalence table and the first mismatch found (first
-    by letter, then by state), or None.
+    in the respective fixing.  The letters are those whose component
+    ``f`` is below ``b-1`` (in a sequential automaton ``f`` is the last
+    component and a letter is one digit).  Returns the equivalence table
+    and the first mismatch found (first by letter, then by state), or
+    None.
     """
     spec = m.alphabet
-    b = spec.base
+    digit, weight = spec.digits(f)
     hi, lo = dual_fixings(m, f)
     table = joint_equivalence([hi.automaton, lo.automaton])
-    if spec.kind == PARALLEL:
-        letters = [letter for letter in spec.digit_letters() if letter[f] != b - 1]
-    else:
-        letters = list(range(b - 1))
-    bumped = [_bump(letter, f) for letter in letters]
+    letters = np.flatnonzero(digit != spec.base - 1)
     hi_cls, lo_cls = table.classes
     bad = (
-        hi_cls[hi.state(m.table[:, [spec.letter_index(x) for x in letters]])]
-        != lo_cls[lo.state(m.table[:, [spec.letter_index(x) for x in bumped]])]
+        hi_cls[hi.state(m.table[:, letters])]
+        != lo_cls[lo.state(m.table[:, letters + weight])]
     )
     if skip is not None:
         bad[skip] = False
@@ -84,7 +76,8 @@ def _dual_tails(m, f, skip=None):
     if first is None:
         return table, None
     q, i = first
-    return table, PairMismatch(f, q, letters[i], bumped[i])
+    letter = int(letters[i])
+    return table, PairMismatch(f, q, spec.letter_at(letter), spec.letter_at(letter + weight))
 
 
 def _check(aut: Automaton, components) -> Verdict:
@@ -97,8 +90,10 @@ def _check(aut: Automaton, components) -> Verdict:
     if not shape:
         return shape
 
-    spec = m.alphabet
-    if m.run_prefix(m.initial, (spec.zero_letter(),) * spec.seq_dim) != m.initial:
+    q = m.initial
+    for _ in range(m.alphabet.seq_dim):
+        q = m.delta[q][0]  # the all-zero letter has index 0
+    if q != m.initial:
         return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
 
     for f in components:
@@ -155,28 +150,23 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
     m = minimal_form(aut)
     if m is None:
         return Verdict(False, NotWeak())
-    b = spec.base
+    is_sign = np.append(spec.sign_mask(), False)  # the separator is no sign letter
+    signs = np.flatnonzero(is_sign)
+    roots = m.table[m.initial, signs]
 
-    sign_letters = [
-        letter
-        for letter in spec.digit_letters()
-        if all(sym in (0, b - 1) for sym in letter)
-    ]
-    signs = [spec.letter_index(letter) for letter in sign_letters]
-    roots = [m.delta[m.initial][li] for li in signs]
-
-    shape = check_minimal_shape(m, roots)
+    shape = check_minimal_shape(m, roots.tolist())
     if not shape:
         return shape
 
-    for li, once in zip(signs, roots):
-        if m.delta[once][li] != once:
-            return Verdict(False, ZeroLoopBroken(once), minimized=m)
+    broken = m.table[roots, signs] != roots
+    if broken.any():
+        return Verdict(False, ZeroLoopBroken(int(roots[broken.argmax()])), minimized=m)
 
-    others = [letter for letter in spec.letters() if letter not in sign_letters]
-    live = m.table[m.initial, [spec.letter_index(x) for x in others]] != dead_sink(m)
+    others = np.flatnonzero(~is_sign)
+    live = m.table[m.initial, others] != dead_sink(m)
     if live.any():
-        return Verdict(False, ComplementPrefix(others[int(live.argmax())]), minimized=m)
+        letter = spec.letter_at(int(others[live.argmax()]))
+        return Verdict(False, ComplementPrefix(letter), minimized=m)
 
     for f in range(spec.dim):
         table, mismatch = _dual_tails(m, f, skip=m.initial)

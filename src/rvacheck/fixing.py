@@ -42,13 +42,8 @@ def fix_parallel(aut: Automaton, f: int, z: int) -> FixedAutomaton:
     if not (0 <= z < spec.base):
         raise ValueError("fixed digit out of range")
     new_spec = AlphabetSpec(spec.base, spec.dim, PARALLEL, spec.fixed | {f})
-    columns = [
-        spec.letter_index(
-            tuple(z if i == f else sym for i, sym in enumerate(letter))
-        )
-        for letter in new_spec.digit_letters()
-    ]
-    columns.append(spec.star_index)
+    # the letters with digit z at f, in index order, are the new letters
+    columns = np.append(np.flatnonzero(spec.digits(f)[0] == z), spec.star_index)
     fixed = Automaton(new_spec, aut.n, aut.initial, aut.accepting, aut.table[:, columns])
     return FixedAutomaton(fixed)
 

@@ -55,6 +55,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .alphabet import AlphabetSpec, BLANK, PARALLEL, SEQUENTIAL
 from .aut_io import MAX_TABLE_CELLS, check_table_budget
 from .automaton import Automaton, sccs, strong_components, trim_accessible
@@ -300,22 +302,12 @@ def _dual_pairs(spec: AlphabetSpec, f: int):
     the hi side carries ``b-1`` and the lo side ``0`` in component ``f``
     and the remaining components agree.
     """
-    b = spec.base
-    flip = {}
-    forced = []
-    if spec.kind == PARALLEL:
-        for letter in spec.digit_letters():
-            li = spec.letter_index(letter)
-            if letter[f] < b - 1:
-                bumped = letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
-                flip[li] = spec.letter_index(bumped)
-            if letter[f] == b - 1:
-                low = letter[:f] + (0,) + letter[f + 1 :]
-                forced.append((li, spec.letter_index(low)))
-    else:
-        for a in range(b - 1):
-            flip[a] = a + 1
-        forced.append((b - 1, 0))
+    top = spec.base - 1
+    digit, weight = spec.digits(f)
+    below = np.flatnonzero(digit < top)
+    at_top = np.flatnonzero(digit == top)
+    flip = dict(zip(below.tolist(), (below + weight).tolist()))
+    forced = list(zip(at_top.tolist(), (at_top - top * weight).tolist()))
     return flip, forced
 
 
@@ -495,14 +487,13 @@ def expand_witness(verdict: Verdict, mode: str):
         return _padding_pair(m, (), (spec.zero_letter(),) * spec.seq_dim, signed)
 
     if kind == "zero-loop-broken":  # complement: sign absorption failed
-        sign_digits = (0, spec.base - 1)
-        for letter in spec.digit_letters():
-            if any(sym not in sign_digits for sym in letter):
-                continue
-            once = m.step(m.initial, letter)
-            if m.step(once, letter) != once:
-                return _padding_pair(m, (letter,), (letter,), signed)
-        return None
+        signs = np.flatnonzero(spec.sign_mask())
+        once = m.table[m.initial, signs]
+        broken = np.flatnonzero(m.table[once, signs] != once)
+        if not broken.size:
+            return None
+        letter = spec.letter_at(int(signs[broken[0]]))
+        return _padding_pair(m, (letter,), (letter,), signed)
 
     if kind == "complement-prefix":
         empty = Automaton(spec, 1, 0, frozenset(), [[0] * spec.num_letters])
@@ -607,111 +598,52 @@ def _known_zero_only(spec: AlphabetSpec):
 
 
 def _known_unit_box(spec: AlphabetSpec):
-    """Componentwise values in [0, 1], with both encodings of 1 accepted."""
-    b = spec.base
-    d = spec.dim
+    """Componentwise values in [0, 1], with both encodings of 1 accepted.
+
+    A state is a subset mask ``S`` of the components: before the
+    separator, those that read their one leading 1 (a component holding
+    1 cannot extend); after it, those pinned to zero tails.  A parallel
+    state is ``S`` before and ``2^d + S`` after the separator.  A
+    sequential state also carries the digit class ``i``: ``i*2^d + S``
+    before and ``(d+i)*2^d + S`` after.  The last state is dead.
+    """
+    b, d = spec.base, spec.dim
+    subsets = 1 << d
+    phase = subsets * spec.seq_dim  # states before the separator
+    dead = 2 * phase
+    table = np.full((dead + 1, spec.num_letters), dead, dtype=np.int64)
+    pre, post = table[:phase], table[phase:dead]
+    codes = np.arange(phase)
     if spec.is_parallel:
-        pre = {}   # frozenset of components that consumed their leading 1
-        post = {}  # frozenset of components pinned to zero tails
-        states = []
-
-        def intern(table, key):
-            if key not in table:
-                table[key] = len(states)
-                states.append(None)
-            return table[key]
-
-        start = intern(pre, frozenset())
-        for r in range(2**d):
-            intern(pre, frozenset(i for i in range(d) if (r >> i) & 1))
-        for r in range(2**d):
-            intern(post, frozenset(i for i in range(d) if (r >> i) & 1))
-        dead = len(states)
-        width = spec.num_letters
-        delta = [[dead] * width for _ in range(len(states) + 1)]
-        for done, sid in pre.items():
-            for letter in spec.digit_letters():
-                li = spec.letter_index(letter)
-                if done or any(a > 1 for a in letter):
-                    continue  # a component already holding 1 cannot extend
-                target = frozenset(i for i in range(d) if letter[i] == 1)
-                delta[sid][li] = pre[target]
-            delta[sid][spec.star_index] = post[done]
-        for pinned, sid in post.items():
-            for letter in spec.digit_letters():
-                li = spec.letter_index(letter)
-                if all(letter[i] == 0 for i in pinned):
-                    delta[sid][li] = sid
-        accepting = frozenset(post.values())
-        return Automaton(spec, len(states) + 1, start, accepting, delta)
-
-    ids = {}
-    rows = []
-
-    def intern(key):
-        if key not in ids:
-            ids[key] = len(rows)
-            rows.append(None)
-        return ids[key]
-
-    width = spec.num_letters
-    start = intern(("pre", 0, frozenset()))
-    todo = [("pre", 0, frozenset())]
-    dead_key = ("dead",)
-    dead = intern(dead_key)
-    rows[dead] = [dead] * width
-    head = 0
-    seenq = {("pre", 0, frozenset()), dead_key}
-    while head < len(todo):
-        key = todo[head]
-        head += 1
-        tag = key[0]
-        row = [dead] * width
-        if tag == "pre":
-            _, i, done = key
-            for a in range(b):
-                if i in done or a > 1:
-                    continue
-                ndone = done | {i} if a == 1 else done
-                tkey = ("pre", (i + 1) % d, ndone)
-                row[a] = intern(tkey)
-                if tkey not in seenq:
-                    seenq.add(tkey)
-                    todo.append(tkey)
-            if i == 0:
-                tkey = ("post", 0, done)
-                row[spec.star_index] = intern(tkey)
-                if tkey not in seenq:
-                    seenq.add(tkey)
-                    todo.append(tkey)
-        else:
-            _, i, pinned = key
-            for a in range(b):
-                if i in pinned and a != 0:
-                    continue
-                tkey = ("post", (i + 1) % d, pinned)
-                row[a] = intern(tkey)
-                if tkey not in seenq:
-                    seenq.add(tkey)
-                    todo.append(tkey)
-        rows[ids[key]] = row
-    accepting = frozenset(v for k, v in ids.items() if k[0] == "post")
-    return Automaton(spec, len(rows), start, accepting, rows)
+        nonzero = np.zeros(spec.num_letters - 1, dtype=np.int64)
+        small = np.ones(spec.num_letters - 1, dtype=bool)
+        for f in range(d):
+            digit = spec.digits(f)[0]
+            nonzero |= (digit != 0).astype(np.int64) << f
+            small &= digit <= 1
+        pre[0, :-1] = np.where(small, nonzero, dead)
+        pre[:, -1] = phase + codes
+        post[:, :-1] = np.where(codes[:, None] & nonzero == 0, phase + codes[:, None], dead)
+    else:
+        i, mask = codes >> d, codes & (subsets - 1)
+        nxt = (i + 1) % d << d | mask  # next class, same subset
+        holds = (mask >> i & 1).astype(bool)  # component i is in the subset
+        pre[:, 0] = np.where(holds, dead, nxt)
+        pre[:, 1] = np.where(holds, dead, nxt | 1 << i)
+        pre[:subsets, b] = phase + codes[:subsets]  # separator at class 0
+        post[:, 0] = phase + nxt
+        post[~holds, 1:b] = phase + nxt[~holds, None]
+    return Automaton(spec, dead + 1, 0, range(phase, dead), table)
 
 
 def _known_complement_full(spec: AlphabetSpec):
-    b = spec.base
-    width = spec.num_letters
     root, top, tail, dead = 0, 1, 2, 3
-    sign = {0, b - 1}
-    root_row = [dead] * width
-    for letter in spec.digit_letters():
-        if all(a in sign for a in letter):
-            root_row[spec.letter_index(letter)] = top
-    top_row = [top] * (width - 1) + [tail]
-    tail_row = [tail] * (width - 1) + [dead]
-    return Automaton(spec, 4, root, frozenset({tail}),
-                     [root_row, top_row, tail_row, [dead] * width])
+    table = np.full((4, spec.num_letters), dead, dtype=np.int64)
+    table[root, np.flatnonzero(spec.sign_mask())] = top
+    table[top, :-1] = top
+    table[top, -1] = tail
+    table[tail, :-1] = tail
+    return Automaton(spec, 4, root, frozenset({tail}), table)
 
 
 def gen_known_rva(kind, base, dim, encoding=PARALLEL) -> Automaton:

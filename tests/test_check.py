@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvacheck.alphabet import AlphabetSpec
 from rvacheck.automaton import Automaton, trim_accessible
@@ -321,3 +323,14 @@ class TestCrossValidation:
                     if expansion.kind == "equal-value-pair":
                         assert expansion.verify(verdict.minimized), (b, d, enc, seed)
                         assert expansion.verify(aut), (b, d, enc, seed)
+
+
+@given(
+    st.integers(0, 10**6), st.sampled_from([2, 3]), st.sampled_from([1, 2, 3]), st.integers(4, 24)
+)
+@settings(max_examples=80, deadline=None)
+def test_parallelized_check_equals_the_sequential_check(seed, base, dim, n):
+    seq = gen_random_sequential_shaped(n, base, dim, seed)
+    vs = check_rva_sequential(seq)
+    vp = check_rva_parallel(parallelize_automaton(seq))
+    assert vs.answer == vp.answer, (vs.witness, vp.witness)

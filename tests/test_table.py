@@ -1,9 +1,12 @@
 """The array-backed table against row-by-row reference loops.
 
 Fixings, unions, refinement and the dual-tail tests read the ``n x
-letters`` array with gathers; each is compared here with the plain loop
-over Python rows that defines it.
+letters`` array with gathers, and their letter sets are index
+arithmetic on the mixed-radix letter order; each is compared here with
+the plain loop over Python rows and letter tuples that defines it.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from rvacheck.alphabet import BLANK, PARALLEL, SEQUENTIAL, AlphabetSpec
 from rvacheck.aut_io import serialize_automaton
 from rvacheck.automaton import Automaton, trim_accessible
-from rvacheck.check import _bump, _dual_tails, _first_mismatch
+from rvacheck.check import _dual_tails, _first_mismatch
 from rvacheck.fixing import fix_parallel, fix_sequential
 from rvacheck.minimize import (
     joint_equivalence,
@@ -22,6 +25,7 @@ from rvacheck.minimize import (
     refine_partition,
 )
 from rvacheck.oracle import (
+    _dual_pairs,
     gen_random_sequential_shaped,
     gen_random_weak,
     parallelize_automaton,
@@ -31,15 +35,17 @@ from rvacheck.verdict import PairMismatch
 
 @st.composite
 def weak_automata(draw):
-    """Random weak automata and shaped ones, base 2-3, dimension 1-2."""
+    """Random weak automata and shaped ones, base 2-4, dimension 1-3;
+    fewer states once a parallel alphabet has more than 9 digit letters."""
     seed = draw(st.integers(0, 10**6))
-    base = draw(st.sampled_from([2, 3]))
-    dim = draw(st.sampled_from([1, 2]))
+    base = draw(st.sampled_from([2, 3, 4]))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    wide = base**dim > 9
     kind = draw(st.sampled_from(["weak", "shaped", "parallelized"]))
     if kind == "weak":
         encoding = draw(st.sampled_from([PARALLEL, SEQUENTIAL]))
-        return gen_random_weak(draw(st.integers(1, 8)), base, dim, encoding, seed)
-    shaped = gen_random_sequential_shaped(draw(st.integers(4, 40)), base, dim, seed)
+        return gen_random_weak(draw(st.integers(1, 4 if wide else 8)), base, dim, encoding, seed)
+    shaped = gen_random_sequential_shaped(draw(st.integers(4, 12 if wide else 40)), base, dim, seed)
     return shaped if kind == "shaped" else parallelize_automaton(shaped)
 
 
@@ -122,12 +128,32 @@ def dual_tails_rows(m, f, skip=None):
     for letter in spec.digit_letters():
         if letter[f] == b - 1:
             continue
-        bumped = _bump(letter, f)
+        bumped = letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
         li, lj = spec.letter_index(letter), spec.letter_index(bumped)
         for q in range(m.n):
             if q != skip and not table.same_language(0, m.delta[q][li], 1, m.delta[q][lj]):
                 return PairMismatch(f, q, letter, bumped)
     return None
+
+
+def dual_pairs_rows(spec, f):
+    b = spec.base
+    flip = {}
+    forced = []
+    if spec.kind == PARALLEL:
+        for letter in spec.digit_letters():
+            li = spec.letter_index(letter)
+            if letter[f] < b - 1:
+                bumped = letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
+                flip[li] = spec.letter_index(bumped)
+            if letter[f] == b - 1:
+                low = letter[:f] + (0,) + letter[f + 1 :]
+                forced.append((li, spec.letter_index(low)))
+    else:
+        for a in range(b - 1):
+            flip[a] = a + 1
+        forced.append((b - 1, 0))
+    return flip, forced
 
 
 def sequential_tails_rows(m):
@@ -147,6 +173,47 @@ def sequential_tails_rows(m):
 # ---------------------------------------------------------------------------
 
 
+def alphabets():
+    """Every parallel alphabet of base 2-4 and dimension 1-4 with every
+    fixed subset, and the unfixed sequential ones."""
+    for b, d in itertools.product((2, 3, 4), range(1, 5)):
+        yield AlphabetSpec(b, d, SEQUENTIAL)
+        for r in range(d + 1):
+            for fixed in itertools.combinations(range(d), r):
+                yield AlphabetSpec(b, d, PARALLEL, frozenset(fixed))
+
+
+def component(spec, letter, f):
+    """Component ``f`` of a letter tuple; a sequential letter is one digit."""
+    return letter[f] if spec.kind == PARALLEL else letter
+
+
+def test_digits_and_sign_mask_read_the_letter_tuples():
+    for spec in alphabets():
+        top = spec.base - 1
+        letters = [spec.letter_at(i) for i in range(spec.num_letters - 1)]
+        free = spec.free_components
+        signs = [all(component(spec, x, g) in (0, top) for g in free) for x in letters]
+        assert spec.sign_mask().tolist() == signs
+        for f in free:
+            digit, weight = spec.digits(f)
+            assert digit.tolist() == [component(spec, x, f) for x in letters]
+            for i, x in enumerate(letters):
+                if digit[i] < top:
+                    bumped = x[:f] + (x[f] + 1,) + x[f + 1 :] if spec.kind == PARALLEL else x + 1
+                    assert spec.letter_at(i + weight) == bumped
+        for f in spec.fixed:
+            with pytest.raises(ValueError, match="not a free component"):
+                spec.digits(f)
+        if not spec.fixed:
+            for f in range(spec.dim):
+                assert _dual_pairs(spec, f) == dual_pairs_rows(spec, f)
+        if spec.kind == SEQUENTIAL and spec.dim > 1:
+            last = AlphabetSpec(spec.base, spec.dim, SEQUENTIAL, {spec.dim - 1})
+            with pytest.raises(ValueError, match="placeholder"):
+                last.digits(0)
+
+
 def assert_same_automaton(built, reference):
     assert built.structurally_equal(reference)
     assert built.delta == reference.delta
@@ -154,14 +221,20 @@ def assert_same_automaton(built, reference):
     assert serialize_automaton(built) == serialize_automaton(reference)
 
 
-@given(weak_automata(), st.integers(0, 2))
+@given(weak_automata(), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_fixings_equal_their_row_definition(aut, z):
     spec = aut.alphabet
     z = min(z, spec.base - 1)
     if spec.kind == PARALLEL:
         for f in range(spec.dim):
-            assert_same_automaton(fix_parallel(aut, f, z).automaton, fix_parallel_rows(aut, f, z))
+            fixed = fix_parallel(aut, f, z).automaton
+            assert_same_automaton(fixed, fix_parallel_rows(aut, f, z))
+            for g in range(spec.dim):
+                if g != f:  # a second component of an already fixed alphabet
+                    assert_same_automaton(
+                        fix_parallel(fixed, g, z).automaton, fix_parallel_rows(fixed, g, z)
+                    )
     else:
         assert_same_automaton(fix_sequential(aut, z).automaton, fix_sequential_rows(aut, z))
 
