@@ -4,8 +4,9 @@ States are dense integers.  The transition table has two read-only
 forms.  ``table`` is one ``n x letters`` numpy int64 array, which the
 vectorized stages (fixings, unions, partition refinement, the dual-tail
 test) read with gathers.  ``delta`` is the same table as a list of
-``n`` rows, which the Python walks (SCCs, colors, breadth-first
-searches, the oracle) index.  An automaton stores the form it was built
+``n`` rows, which the Python walks (breadth-first searches, the
+oracle, and the SCCs and colors of a table below ``SMALL_TABLE_CELLS``)
+index.  An automaton stores the form it was built
 from and derives the other once, on first read: a generated automaton,
 or a parsed one below ``SMALL_TABLE_CELLS``, keeps its rows and gets
 its array when a vectorized stage first needs it; a larger parsed one,
@@ -30,9 +31,10 @@ from .alphabet import AlphabetSpec
 # exceeds the Python work they save.  A merge round costs 15-60% of the
 # trim, SCCs and colours it could shrink on random weak automata of
 # 8-2048 states, and 5-10% from 4096 cells on.  Every file of the
-# corpus benchmark (at most 640 cells) is below it.  Unions below it are
-# colored by Tarjan, not doubling (minimize): doubling wins from about
-# 250 cells of a residue union, but ungated the corpus sweep took 12% more.
+# corpus benchmark (at most 640 cells) is below it.  Tables below it are
+# colored by Tarjan on every state, larger ones on a quotient
+# (minimize.weak_colors): on the 1124 tables a 400-automaton corpus
+# sweep colors (at most 450 cells), the quotient took 5.5x as long.
 SMALL_TABLE_CELLS = 2048
 
 
@@ -158,14 +160,6 @@ class SccInfo:
     recurrent: list
     accepting: list
     weak: bool
-
-    def accepting_recurrent_states(self):
-        return [
-            q
-            for cid, comp in enumerate(self.components)
-            if self.accepting[cid]
-            for q in comp
-        ]
 
 
 def strong_components(succ):

@@ -14,14 +14,14 @@ import time
 
 from .alphabet import PARALLEL, SEQUENTIAL
 from .aut_io import parse_automaton, serialize_automaton, write_automaton
-from .automaton import is_weak, sccs, trim_accessible
+from .automaton import trim_accessible
 from .check import (
     check_rva_complement_parallel,
     check_rva_dim1,
     check_rva_parallel,
     check_rva_sequential,
 )
-from .minimize import _merge_equal_rows, minimal_form, minimize_weak
+from .minimize import _merge_equal_rows, minimal_form, minimize_weak, weak_colors
 from .shape import check_minimal_shape
 
 CHECKS = {
@@ -116,11 +116,11 @@ def cmd_minimize(args):
     aut = _load(args)
     trimmed, trim_map = trim_accessible(aut)
     merged, merge_map = _merge_equal_rows(trimmed)
-    info = sccs(merged)
-    if not is_weak(merged, info):
+    colors = weak_colors(merged)
+    if colors is None:
         print("error: automaton is not weak", file=sys.stderr)
         return 1
-    morphism = minimize_weak(merged, info)
+    morphism = minimize_weak(merged, colors)
     class_of = morphism.mapping  # of each trimmed state, through the merge
     if merge_map is not None:
         class_of = [class_of[q] for q in merge_map.tolist()]

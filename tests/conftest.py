@@ -4,7 +4,7 @@ import pytest
 
 from rvacheck.aut_io import parse_automaton
 from rvacheck.automaton import sccs, trim_accessible
-from rvacheck.minimize import minimize_weak
+from rvacheck.minimize import minimize_weak, normalized_colors
 from rvacheck.shape import fra_states, mod_states
 from rvacheck.verdict import NotShape, Verdict
 
@@ -22,13 +22,18 @@ def fig2_text():
     return FIG2_PATH.read_text()
 
 
+def accepting_recurrent_states(aut):
+    info = sccs(aut)
+    return {q for q in range(aut.n) if info.accepting[info.scc_of[q]]}
+
+
 def dead_states(aut):
     """States with empty language, by forward reachability.
 
     A state is dead iff no accepting-recurrent component is reachable
     from it.  Holds on any automaton, minimal or not.
     """
-    acc = set(sccs(aut).accepting_recurrent_states())
+    acc = accepting_recurrent_states(aut)
     dead = set()
     for q in range(aut.n):
         reach = {q}
@@ -69,10 +74,12 @@ def reference_shape(aut, d_seq):
 
 
 def reference_minimal_form(aut):
-    """The minimal form without the merge of equal rows: trim, SCCs, then
-    :func:`minimize_weak`; None when the reachable part is not weak."""
+    """The minimal form without the merge of equal rows: trim, Tarjan and
+    the color loop on every state, then :func:`minimize_weak`; None when
+    the reachable part is not weak."""
     trimmed, _ = trim_accessible(aut)
     info = sccs(trimmed)
     if not info.weak:
         return None
-    return minimize_weak(trimmed, info).target
+    colors = normalized_colors(trimmed, info), info.scc_of, info.recurrent, info.accepting
+    return minimize_weak(trimmed, colors).target

@@ -31,15 +31,9 @@ from rvacheck.oracle import (
     saturation_oracle,
 )
 from rvacheck.shape import _mod_states_counted, fra_states
-from rvacheck.words import (
-    PairWord,
-    encodings_of_rational,
-    lasso_to_pair,
-    parallelize,
-    sequentialize,
-    value_real,
-)
+from rvacheck.words import PairWord, lasso_to_pair, parallelize, value_real
 from tests.conftest import FIG2_PATH, dead_states
+from tests.word_encodings import encodings_of_rational, sequentialize
 
 REPORT = "CRITERION {num}: {status} - {text}"
 

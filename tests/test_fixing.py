@@ -5,7 +5,8 @@ from rvacheck.automaton import is_weak
 from rvacheck.fixing import fix_parallel, fix_sequential
 from rvacheck.minimize import joint_equivalence
 from rvacheck.oracle import distinguishing_lasso, gen_known_rva, gen_random_weak
-from rvacheck.words import PairWord, pair_to_lasso
+from rvacheck.words import PairWord
+from tests.word_encodings import pair_to_lasso
 
 
 def random_blank_lasso(rng, spec, f=None):

@@ -553,17 +553,21 @@ class TestCli:
         assert "yes" in proc.stdout
 
     def test_check_loads_the_word_layer_only_on_no(self, tmp_path):
-        full = tmp_path / "full.rva"
-        full.write_text(serialize_automaton(gen_known_rva("full-space", 2, 2)))
-        probe = (
-            "import sys\n"
-            "from rvacheck.cli import main\n"
-            f"code = main(['check', {str(full)!r}, '--mode', 'parallel'])\n"
-            "print(code, [m for m in ('rvacheck.oracle', 'rvacheck.words', 'fractions')"
-            " if m in sys.modules])\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+        # a small table, and one above the size gate: a "yes" imports
+        # neither the word layer nor numpy.ma (which a bare np.unique loads)
+        small, large = gen_known_rva("full-space", 2, 2), gen_residue_rva(1500)
+        for name, aut in (("full", small), ("residue", large)):
+            path = tmp_path / f"{name}.rva"
+            path.write_text(serialize_automaton(aut))
+            probe = (
+                "import sys\n"
+                "from rvacheck.cli import main\n"
+                f"code = main(['check', {str(path)!r}, '--mode', 'parallel'])\n"
+                "print(code, [m for m in ('rvacheck.oracle', 'rvacheck.words', 'fractions',"
+                " 'numpy.ma') if m in sys.modules])\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+            assert proc.stdout.splitlines()[-1] == "0 []", (name, proc.stderr)
         proc = run_cli("check", str(FIG2_PATH), "--mode", "parallel")
         assert proc.returncode == 1
         assert proc.stdout == (

@@ -312,44 +312,77 @@ def separator_chain(length):
     return two_column([[q, max(q - 1, 0)] for q in range(length)])
 
 
-class TestDoublingColors:
-    def assert_like_tarjan(self, union):
-        found = minimize._doubling_colors(union)
-        assert found is not None
-        color, comp, recurrent, accepting = found
-        info = sccs(union)
-        assert color.tolist() == minimize.normalized_colors(union, info)
-        assert canonical(comp.tolist()) == canonical(info.scc_of)
-        assert recurrent[comp].tolist() == [info.recurrent[c] for c in info.scc_of]
-        assert accepting[comp].tolist() == [info.accepting[c] for c in info.scc_of]
+def two_cycle_chain(pairs):
+    """Pairs of states swapped by the digit column, each led by its
+    separator to the pair before; every other pair accepts, so the
+    colors climb the chain.  Contracting the digit column's cycles only
+    halves it."""
+    rows = []
+    for i in range(pairs):
+        rows += [[2 * i + 1, max(2 * i - 2, 0)], [2 * i, 2 * i + 1]]
+    return two_column(rows, {q for q in range(2 * pairs) if q // 2 % 2 == 0})
 
-    def test_equals_tarjan_on_dimension_one_fixings(self):
+
+@pytest.fixture
+def contracted(monkeypatch):
+    """:func:`minimize.weak_colors` on its quotient path, whatever the
+    table's size."""
+    monkeypatch.setattr(minimize, "SMALL_TABLE_CELLS", 0)
+    return minimize.weak_colors
+
+
+class TestDoublingColors:
+    def assert_like_tarjan(self, weak_colors, aut):
+        color, comp, recurrent, accepting = weak_colors(aut)
+        info = sccs(aut)
+        assert np.asarray(color).tolist() == minimize.normalized_colors(aut, info)
+        assert canonical(np.asarray(comp).tolist()) == canonical(info.scc_of)
+        assert np.asarray(recurrent)[comp].tolist() == [info.recurrent[c] for c in info.scc_of]
+        assert np.asarray(accepting)[comp].tolist() == [info.accepting[c] for c in info.scc_of]
+
+    def test_equals_tarjan_on_dimension_one_fixings(self, contracted):
         checked = 0
         for aut in doubling_unions():
-            union = fixing_union(aut)
-            if union.n == 2 and union.alphabet.is_parallel:
-                continue  # the dead state alone: no column leads anywhere
-            self.assert_like_tarjan(union)
+            self.assert_like_tarjan(contracted, fixing_union(aut))
             checked += 1
-        assert checked > 200
+        assert checked > 240
 
-    def test_four_layers_suffice_and_a_fifth_declines(self):
-        self.assert_like_tarjan(separator_chain(4))
-        assert minimize._doubling_colors(separator_chain(5)) is None
+    def test_equals_tarjan_on_dimension_two_fixings(self, contracted):
+        for seed in range(6):
+            shaped = gen_random_sequential_shaped(30 + 7 * seed, 2 + seed % 2, 2, seed)
+            self.assert_like_tarjan(contracted, fixing_union(shaped, 1))
+            wide = parallelize_automaton(shaped)
+            for f in (0, 1):
+                self.assert_like_tarjan(contracted, fixing_union(wide, f))
 
-    def test_declines_off_its_case(self):
-        wide = parallelize_automaton(gen_random_sequential_shaped(30, 2, 2, 1))
-        assert minimize._doubling_colors(fixing_union(wide)) is None
-        # the separator leads from 1 to 2 and back to 0: one component
+    def test_equals_tarjan_where_one_digit_function_declined(self, contracted):
+        # up to five separator layers, a separator that closes a cycle,
+        # and a union whose every state has two digit columns
+        for layers in range(1, 6):
+            self.assert_like_tarjan(contracted, separator_chain(layers))
         closing = two_column([[1, 0], [0, 2], [2, 0]])
-        assert minimize._doubling_colors(closing) is None
+        self.assert_like_tarjan(contracted, closing)
         assert len(sccs(closing).components) == 1
+        wide = parallelize_automaton(gen_random_sequential_shaped(30, 2, 2, 1))
+        self.assert_like_tarjan(contracted, fixing_union(wide))
+
+    def test_equals_tarjan_above_the_size_gate(self):
+        for seed, (base, dim, enc) in enumerate(
+            itertools.product((2, 3), (1, 2), (PARALLEL, SEQUENTIAL))
+        ):
+            width = AlphabetSpec(base, dim, enc).num_letters
+            aut = gen_random_weak(SMALL_TABLE_CELLS // width + 1, base, dim, enc, seed)
+            self.assert_like_tarjan(minimize.weak_colors, aut)
+        chain = two_cycle_chain(2000)
+        self.assert_like_tarjan(minimize.weak_colors, chain)
+        assert max(minimize.weak_colors(chain)[0]) >= 1999
 
     def test_non_weak_cycle_declines_and_raises(self):
         size = SMALL_TABLE_CELLS  # two copies reach the union size gate
         rows = [[(q + 1) % size, size] for q in range(size)] + [[size, size]]
         aut = two_column(rows, {0})
-        assert minimize._doubling_colors(aut) is None
+        assert minimize.weak_colors(aut) is None
+        assert minimal_form(aut) is None
         with pytest.raises(ValueError):
             joint_equivalence([aut, aut])
         with pytest.raises(ValueError):
@@ -359,12 +392,12 @@ class TestDoublingColors:
         residue = minimal_form(gen_residue_rva(1500))  # unions above the size gate
         hi, lo = (x.automaton for x in dual_fixings(residue, 0))
         union = minimize._weak_union([hi, lo])[0]
-        assert minimize._doubling_colors(union) is not None
+        assert union.n * union.alphabet.num_letters >= SMALL_TABLE_CELLS
         pairs = [(q, p) for q in range(0, residue.n, 97) for p in (q, q + 1, 0)]
-        doubled = joint_equivalence([hi, lo]).classes
+        contracted = joint_equivalence([hi, lo]).classes
         words = [distinguishing_word(hi, q, lo, p % residue.n) for q, p in pairs]
-        monkeypatch.setattr(minimize, "_doubling_colors", lambda union: None)
-        assert all(map(np.array_equal, doubled, joint_equivalence([hi, lo]).classes))
+        monkeypatch.setattr(minimize, "SMALL_TABLE_CELLS", 1 << 62)
+        assert all(map(np.array_equal, contracted, joint_equivalence([hi, lo]).classes))
         assert words == [distinguishing_word(hi, q, lo, p % residue.n) for q, p in pairs]
         assert any(word is not None for word in words)
 

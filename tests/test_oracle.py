@@ -32,14 +32,8 @@ from rvacheck.oracle import (
     saturation_oracle,
     shape_violation_word,
 )
-from rvacheck.words import (
-    LassoWord,
-    PairWord,
-    alternative_encodings,
-    lasso_to_pair,
-    pair_to_lasso,
-    value_real,
-)
+from rvacheck.words import LassoWord, PairWord, lasso_to_pair, value_real
+from tests.word_encodings import alternative_encodings, pair_to_lasso
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvacheck.alphabet import SEQUENTIAL, AlphabetSpec
-from rvacheck.automaton import Automaton, sccs
+from rvacheck.automaton import Automaton
 from rvacheck.check import (
     check_rva_complement_parallel,
     check_rva_dim1,
@@ -26,7 +26,7 @@ from rvacheck.shape import (
     fra_states,
     mod_states,
 )
-from tests.conftest import dead_states, reference_shape
+from tests.conftest import accepting_recurrent_states, dead_states, reference_shape
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ class TestMinimalFormFacts:
             m = minimal_form(aut)
             dead = dead_states(m)
             assert dead == ({dead_sink(m)} - {-1})
-            assert m.accepting == frozenset(sccs(m).accepting_recurrent_states())
+            assert m.accepting == accepting_recurrent_states(m)
             spec = m.alphabet
             expected = reference_shape(m, spec.seq_dim)
             assert check_minimal_shape(m, (m.initial,)) == expected

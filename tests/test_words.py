@@ -8,17 +8,19 @@ from rvacheck.alphabet import AlphabetSpec
 from rvacheck.words import (
     PairWord,
     SignDigitError,
-    alternative_encodings,
-    encodings_of_rational,
     format_lasso,
     lasso_to_pair,
-    pair_to_lasso,
     parallelize,
     parse_lasso,
-    sequentialize,
     value_fractional,
     value_natural,
     value_real,
+)
+from tests.word_encodings import (
+    alternative_encodings,
+    encodings_of_rational,
+    pair_to_lasso,
+    sequentialize,
 )
 
 B2 = AlphabetSpec(2, 1)
