@@ -107,7 +107,7 @@ def weak_colors(aut: Automaton):
     n = len(table)
     states = np.arange(n)
     loops = table == states[:, None]
-    leads = ~(loops | loops.all(axis=1)[table])  # to another state that is no all-loop one
+    leads = ~(loops | loops.all(axis=1)[table])  # to another state, not an all-loop one
     first = leads.argmax(axis=1)
     g = np.where(leads[states, first], table[states, first], states)
     jump, low = g, states  # g to the powers 1, 2, 4, ..., 2^k >= n

@@ -332,6 +332,9 @@ def contracted(monkeypatch):
 
 
 class TestDoublingColors:
+    """:func:`minimize.weak_colors`, whose quotient pointer doubling
+    finds, against :func:`sccs` and :func:`minimize.normalized_colors`."""
+
     def assert_like_tarjan(self, weak_colors, aut):
         color, comp, recurrent, accepting = weak_colors(aut)
         info = sccs(aut)
