@@ -369,6 +369,28 @@ class TestDoublingColors:
         wide = parallelize_automaton(gen_random_sequential_shaped(30, 2, 2, 1))
         self.assert_like_tarjan(contracted, fixing_union(wide))
 
+    def test_four_layers_suffice_and_a_fifth_declines(self, contracted):
+        # a fifth layer of one component: 4-5, the digit column's cycle
+        # (one node), and 6, a node of its own
+        rows = separator_chain(4).table.tolist() + [[5, 3], [4, 6], [4, 6]]
+        for accepting in ((), (4, 5, 6), (0, 2)):
+            self.assert_like_tarjan(contracted, two_column(rows, accepting))
+        for accepting in ((5,), (6,), (4, 5)):
+            aut = two_column(rows, accepting)
+            assert not sccs(aut).weak
+            assert contracted(aut) is None
+
+    def test_declines_off_its_case(self, contracted):
+        # the separator leads from 1 to 2 and back to 0: one component of
+        # two nodes, 0-1 (the digit column's cycle) and 2
+        rows = [[1, 0], [0, 2], [2, 0]]
+        self.assert_like_tarjan(contracted, two_column(rows))
+        self.assert_like_tarjan(contracted, two_column(rows, (0, 1, 2)))
+        for accepting in ((0,), (2,), (0, 1)):
+            aut = two_column(rows, accepting)
+            assert not sccs(aut).weak
+            assert contracted(aut) is None
+
     def test_equals_tarjan_above_the_size_gate(self):
         for seed, (base, dim, enc) in enumerate(
             itertools.product((2, 3), (1, 2), (PARALLEL, SEQUENTIAL))
