@@ -244,14 +244,14 @@ def is_weak(aut: Automaton, info: SccInfo | None = None) -> bool:
     return (info or sccs(aut)).weak
 
 
-def reachable_states(aut: Automaton):
-    """States reachable from the initial state, in BFS discovery order."""
-    order = [aut.initial]
-    seen = bytearray(aut.n)
-    seen[aut.initial] = 1
-    delta = aut.delta
+def reachable_states(rows, root):
+    """Nodes reachable from ``root`` over successor ``rows``, in BFS
+    discovery order."""
+    order = [root]
+    seen = bytearray(len(rows))
+    seen[root] = 1
     for q in order:
-        for t in delta[q]:
+        for t in rows[q]:
             if not seen[t]:
                 seen[t] = 1
                 order.append(t)
@@ -261,20 +261,19 @@ def reachable_states(aut: Automaton):
 def trim_accessible(aut: Automaton):
     """Restriction to the states reachable from the initial state.
 
-    Returns the trimmed automaton plus the old-to-new state map, or
-    ``(aut, None)`` when every state is reachable.  Kept states keep
-    their relative order.  The language is preserved.
+    Returns the trimmed automaton plus the array that maps each state
+    to its trimmed state, -1 where it is unreachable; or ``(aut, None)``
+    when every state is reachable.  Kept states keep their relative
+    order.  The language is preserved.
     """
-    order = reachable_states(aut)
+    order = reachable_states(aut.delta, aut.initial)
     if len(order) == aut.n:
         return aut, None
-    order.sort()
-    remap = {old: new for new, old in enumerate(order)}
-    kept = np.array(order)
-    new_id = np.zeros(aut.n, dtype=np.int64)
-    new_id[kept] = np.arange(len(order))
-    accepting = frozenset(remap[q] for q in aut.accepting if q in remap)
+    kept = np.sort(order)
+    new_id = np.full(aut.n, -1, dtype=np.int64)
+    new_id[kept] = np.arange(len(kept))
+    accepting = frozenset(new_id[list(aut.accepting)].tolist()) - {-1}
     trimmed = Automaton(
-        aut.alphabet, len(order), remap[aut.initial], accepting, new_id[aut.table[kept]]
+        aut.alphabet, len(kept), int(new_id[aut.initial]), accepting, new_id[aut.table[kept]]
     )
-    return trimmed, remap
+    return trimmed, new_id

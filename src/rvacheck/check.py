@@ -82,9 +82,10 @@ def _dual_tails(m, f, skip=None):
 
 def _check(aut: Automaton, components) -> Verdict:
     """The check of either encoding: minimal form, shape, zero loop, dual tails."""
-    m = minimal_form(aut)
-    if m is None:
+    morphism = minimal_form(aut)
+    if morphism is None:
         return Verdict(False, NotWeak())
+    m = morphism.target
 
     shape = check_minimal_shape(m, (m.initial,))
     if not shape:
@@ -147,9 +148,10 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
     spec = aut.alphabet
     if spec.kind != PARALLEL or spec.fixed:
         raise ValueError("complement check needs an unfixed parallel alphabet")
-    m = minimal_form(aut)
-    if m is None:
+    morphism = minimal_form(aut)
+    if morphism is None:
         return Verdict(False, NotWeak())
+    m = morphism.target
     is_sign = np.append(spec.sign_mask(), False)  # the separator is no sign letter
     signs = np.flatnonzero(is_sign)
     roots = m.table[m.initial, signs]

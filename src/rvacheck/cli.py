@@ -14,14 +14,13 @@ import time
 
 from .alphabet import PARALLEL, SEQUENTIAL
 from .aut_io import parse_automaton, serialize_automaton, write_automaton
-from .automaton import trim_accessible
 from .check import (
     check_rva_complement_parallel,
     check_rva_dim1,
     check_rva_parallel,
     check_rva_sequential,
 )
-from .minimize import _merge_equal_rows, minimal_form, minimize_weak, weak_colors
+from .minimize import minimal_form
 from .shape import check_minimal_shape
 
 CHECKS = {
@@ -87,7 +86,7 @@ def cmd_classify(args):
     start = time.perf_counter()
     m = minimal_form(aut)
     weak = m is not None
-    shape = check_minimal_shape(m, (m.initial,)) if weak else None
+    shape = check_minimal_shape(m.target, (m.target.initial,)) if weak else None
     par = shape if aut.alphabet.kind == PARALLEL else None
     seq = shape if aut.alphabet.kind == SEQUENTIAL else None
     elapsed = time.perf_counter() - start
@@ -114,31 +113,24 @@ def cmd_classify(args):
 
 def cmd_minimize(args):
     aut = _load(args)
-    trimmed, trim_map = trim_accessible(aut)
-    merged, merge_map = _merge_equal_rows(trimmed)
-    colors = weak_colors(merged)
-    if colors is None:
+    morphism = minimal_form(aut)
+    if morphism is None:
         print("error: automaton is not weak", file=sys.stderr)
         return 1
-    morphism = minimize_weak(merged, colors)
-    class_of = morphism.mapping  # of each trimmed state, through the merge
-    if merge_map is not None:
-        class_of = [class_of[q] for q in merge_map.tolist()]
-    kept = zip(range(aut.n), range(aut.n)) if trim_map is None else trim_map.items()
-    classes = {}
-    for old, new in kept:
-        classes.setdefault(class_of[new], []).append(old)
+    classes = {}  # target state -> its reachable source states, ascending
+    for q, target_state in enumerate(morphism.mapping.tolist()):
+        if target_state >= 0:
+            classes.setdefault(target_state, []).append(q)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             write_automaton(morphism.target, handle)
     payload = {
         "states": morphism.target.n,
-        "classes": {str(k): sorted(v) for k, v in sorted(classes.items())},
+        "classes": {str(k): v for k, v in sorted(classes.items())},
     }
     lines = [f"minimal automaton has {morphism.target.n} states"]
-    for target_state in sorted(classes):
-        members = " ".join(str(q) for q in sorted(classes[target_state]))
-        lines.append(f"  class {target_state}: {{{members}}}")
+    for target_state, members in sorted(classes.items()):
+        lines.append(f"  class {target_state}: {{{' '.join(map(str, members))}}}")
     if not args.output:
         lines.append(serialize_automaton(morphism.target).rstrip("\n"))
     _emit(args, payload, lines)

@@ -55,6 +55,7 @@ from .automaton import (
     SMALL_TABLE_CELLS,
     Automaton,
     SccInfo,
+    reachable_states,
     sccs,
     strong_components,
     trim_accessible,
@@ -240,11 +241,13 @@ def refine_partition(table, labels):
 
 @dataclass(frozen=True)
 class Morphism:
-    """Language-preserving surjection onto the minimal quotient."""
+    """Language-preserving map onto the minimal quotient: ``mapping``
+    is an int64 array, -1 where :func:`minimal_form` finds a state
+    unreachable."""
 
     source: Automaton
     target: Automaton
-    mapping: tuple
+    mapping: np.ndarray
 
     def __post_init__(self):
         if len(self.mapping) != self.source.n:
@@ -257,8 +260,9 @@ def minimize_weak(aut: Automaton, colors=None) -> Morphism:
     When every state of the input is accessible the target is the
     minimal automaton of the language; in general it is the quotient by
     per-state language equality.  Target states are numbered in BFS
-    discovery order from the image of the initial state.  ``colors`` is
-    :func:`weak_colors` of ``aut``, computed here when not given.
+    discovery order from the image of the initial state, unreachable
+    ones last.  ``colors`` is :func:`weak_colors` of ``aut``, computed
+    here when not given.
     """
     colors = colors or weak_colors(aut)
     if colors is None:
@@ -267,22 +271,12 @@ def minimize_weak(aut: Automaton, colors=None) -> Morphism:
     block = refine_partition(aut.table, color)
     num = int(block.max()) + 1
     _, succ = _quotient(aut.table, block, num)
+    order = reachable_states(succ.tolist(), int(block[aut.initial]))
+    if len(order) < num:  # unreachable blocks keep deterministic ids too
+        order += sorted(set(range(num)).difference(order))
+    ids = np.empty(num, dtype=np.int64)
+    ids[order] = np.arange(num)
 
-    rows = succ.tolist()
-    new_id = [-1] * num
-    order = [int(block[aut.initial])]
-    new_id[order[0]] = 0
-    for b in order:
-        for t in rows[b]:
-            if new_id[t] < 0:
-                new_id[t] = len(order)
-                order.append(t)
-    for b in range(num):  # unreachable blocks keep deterministic ids too
-        if new_id[b] < 0:
-            new_id[b] = len(order)
-            order.append(b)
-
-    ids = np.array(new_id)
     state_of = ids[block]  # source state -> target state
     accepting = state_of[np.flatnonzero(np.asarray(accepting)[comp])]
     target = Automaton(
@@ -292,7 +286,7 @@ def minimize_weak(aut: Automaton, colors=None) -> Morphism:
         frozenset(accepting.tolist()),
         ids[succ[order]],
     )
-    return Morphism(aut, target, tuple(state_of.tolist()))
+    return Morphism(aut, target, state_of)
 
 
 def _quotient(table, block, num):
@@ -341,12 +335,30 @@ def _merge_equal_rows(aut: Automaton):
     return quotient, state_of
 
 
+def _reached(table, root):
+    """Which states of ``table`` ``root`` reaches: a breadth-first search
+    one level per round of gathers, each new state entering a level once."""
+    seen = np.zeros(len(table), dtype=bool)
+    slot = np.empty(len(table), dtype=np.int64)
+    level = np.array([root])
+    while len(level):
+        seen[level] = True
+        fresh = table[level].ravel()
+        fresh = fresh[~seen[fresh]]
+        slot[fresh] = np.arange(len(fresh))
+        level = fresh[slot[fresh] == np.arange(len(fresh))]
+    return seen
+
+
 def minimal_form(aut: Automaton):
-    """Merge equal rows, trim, then quotient; None when the reachable
+    """Merge equal rows, trim, colour and quotient: the morphism from
+    ``aut`` onto its minimal weak automaton; None when the reachable
     part is not weak.
 
-    The result is the minimal weak automaton of the language, with the
-    numbering of :func:`minimize_weak`.  The merge rounds of
+    The target is the minimal weak automaton of the language, with the
+    numbering of :func:`minimize_weak`; the mapping composes the maps of
+    the merge, the trim and the quotient, with -1 on every state that
+    ``aut`` does not reach.  The merge rounds of
     :func:`_merge_equal_rows` run on the table array before any Python
     walk, so an input that collapses reaches trim, SCCs and colours at a
     fraction of its size: ``gen_interval_rva(25086)`` takes 11 rounds,
@@ -354,11 +366,21 @@ def minimal_form(aut: Automaton):
     inputs take 1 round and merge nothing.  Tables below
     ``SMALL_TABLE_CELLS`` cells skip the merge.
     """
+    merged, merge_map = aut, None
     if aut.n * aut.alphabet.num_letters >= SMALL_TABLE_CELLS:
-        aut, _ = _merge_equal_rows(aut)
-    trimmed, _ = trim_accessible(aut)
+        merged, merge_map = _merge_equal_rows(aut)
+    trimmed, trim_map = trim_accessible(merged)
     colors = weak_colors(trimmed)
-    return None if colors is None else minimize_weak(trimmed, colors).target
+    if colors is None:
+        return None
+    morphism = minimize_weak(trimmed, colors)
+    mapping = morphism.mapping
+    if trim_map is not None:
+        mapping = np.append(mapping, -1)[trim_map]  # -1 picks the appended -1
+    if merge_map is not None:
+        # a merged state can hold states that aut does not reach
+        mapping = np.where(_reached(aut.table, aut.initial), mapping[merge_map], -1)
+    return Morphism(aut, morphism.target, mapping)
 
 
 @dataclass(frozen=True)

@@ -534,67 +534,25 @@ def parallelize_automaton(aut: Automaton) -> Automaton:
     if spec.kind != SEQUENTIAL or spec.fixed:
         raise ValueError("can only parallelize an unfixed sequential automaton")
     new_spec = AlphabetSpec(spec.base, spec.dim, PARALLEL)
-    star_old = spec.star_index
-    src = aut.delta
-    delta = []
-    for q in range(aut.n):
-        row = []
-        for letter in new_spec.digit_letters():
-            t = q
-            for a in letter:
-                t = src[t][a]
-            row.append(t)
-        row.append(src[q][star_old])
-        delta.append(row)
-    return Automaton(new_spec, aut.n, aut.initial, aut.accepting, delta)
+    table = aut.table
+    walk = np.arange(aut.n)[:, None]
+    for f in range(spec.dim):  # read component f of every vector letter
+        walk = table[walk, new_spec.digits(f)[0]]
+    walk = np.column_stack([walk, table[:, spec.star_index]])
+    return Automaton(new_spec, aut.n, aut.initial, aut.accepting, walk)
 
 
-def _known_full_space(spec: AlphabetSpec):
-    if spec.is_parallel:
-        width = spec.num_letters
-        top, tail, dead = 0, 1, 2
-        delta = [[top] * (width - 1) + [tail],
-                 [tail] * (width - 1) + [dead],
-                 [dead] * width]
-        return Automaton(spec, 3, top, frozenset({tail}), delta)
-    d = spec.dim
-    b = spec.base
-    tail, dead = d, d + 1
-    delta = []
-    for i in range(d):
-        row = [(i + 1) % d] * b + [tail if i == 0 else dead]
-        delta.append(row)
-    delta.append([tail] * b + [dead])
-    delta.append([dead] * (b + 1))
-    return Automaton(spec, d + 2, 0, frozenset({tail}), delta)
-
-
-def _known_zero_only(spec: AlphabetSpec):
-    b = spec.base
-    if spec.is_parallel:
-        width = spec.num_letters
-        zero = spec.letter_index(spec.zero_letter())
-        pre, post, dead = 0, 1, 2
-        pre_row = [dead] * width
-        pre_row[zero] = pre
-        pre_row[spec.star_index] = post
-        post_row = [dead] * width
-        post_row[zero] = post
-        return Automaton(spec, 3, pre, frozenset({post}),
-                         [pre_row, post_row, [dead] * width])
-    d = spec.dim
-    tail, dead = d, d + 1
-    delta = []
-    for i in range(d):
-        row = [dead] * (b + 1)
-        row[0] = (i + 1) % d
-        row[spec.star_index] = tail if i == 0 else dead
-        delta.append(row)
-    tail_row = [dead] * (b + 1)
-    tail_row[0] = tail
-    delta.append(tail_row)
-    delta.append([dead] * (b + 1))
-    return Automaton(spec, d + 2, 0, frozenset({tail}), delta)
+def _known_digit_loops(spec: AlphabetSpec, letters):
+    """Digit classes ``0..k-1`` before the separator (``k`` digits per
+    vector) and the accepting tail after it, all reading only
+    ``letters``; the rest leads to the dead state."""
+    k = spec.seq_dim
+    tail, dead = k, k + 1
+    table = np.full((k + 2, spec.num_letters), dead, dtype=np.int64)
+    table[:k, letters] = (np.arange(1, k + 1) % k)[:, None]
+    table[0, -1] = tail
+    table[tail, letters] = tail
+    return Automaton(spec, k + 2, 0, frozenset({tail}), table)
 
 
 def _known_unit_box(spec: AlphabetSpec):
@@ -661,9 +619,9 @@ def gen_known_rva(kind, base, dim, encoding=PARALLEL) -> Automaton:
     subsets = 1 << min(dim, MAX_TABLE_CELLS.bit_length()) if kind == "unit-box" else 1
     check_table_budget(spec, 2 * spec.seq_dim * subsets + 2)
     if kind == "full-space":
-        return _known_full_space(spec)
+        return _known_digit_loops(spec, slice(-1))  # every digit letter
     if kind == "zero-only":
-        return _known_zero_only(spec)
+        return _known_digit_loops(spec, [0])  # the zero letter has index 0
     if kind == "unit-box":
         return _known_unit_box(spec)
     if kind == "complement-full":

@@ -3,7 +3,7 @@
 An automaton reads valid encodings only when every accepted word carries
 exactly one separator, placed after a number of digits divisible by the
 sequential dimension.  The test runs on the minimal form ``m`` of the
-automaton (:func:`rvacheck.minimize.minimal_form`) and walks two
+automaton (the target of :func:`rvacheck.minimize.minimal_form`) and walks two
 families of its states: the states reached while the digit counter is
 ``i`` modulo the digits per vector, and the states reachable after a
 separator.

@@ -2,30 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
-@dataclass(frozen=True)
-class NotWeak:
-    kind = "not-weak"
+class Witness:
+    """Base of the failure witnesses below."""
 
     def to_dict(self):
-        return {"kind": self.kind}
+        """``kind``, then the fields in order; letters stay tuples, which
+        ``json`` writes as arrays."""
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
-class NotShape:
+class NotWeak(Witness):
+    kind = "not-weak"
+
+
+@dataclass(frozen=True)
+class NotShape(Witness):
     """Some accepted word has a missing, repeated or misplaced separator."""
 
     state: int
     kind = "not-shape"
 
-    def to_dict(self):
-        return {"kind": self.kind, "state": self.state}
-
 
 @dataclass(frozen=True)
-class ZeroLoopBroken:
+class ZeroLoopBroken(Witness):
     """Reading the all-zero letter moves the (minimal) initial state.
 
     Also reports a failed sign-digit absorption in the complement check,
@@ -35,12 +38,9 @@ class ZeroLoopBroken:
     state: int
     kind = "zero-loop-broken"
 
-    def to_dict(self):
-        return {"kind": self.kind, "state": self.state}
-
 
 @dataclass(frozen=True)
-class PairMismatch:
+class PairMismatch(Witness):
     """Dual digit tails diverge: bumping component ``component`` of
     ``letter`` at ``state`` changes the residual language."""
 
@@ -50,42 +50,21 @@ class PairMismatch:
     bumped_letter: object
     kind = "pair-mismatch"
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "component": self.component,
-            "state": self.state,
-            "letter": _letter_json(self.letter),
-            "bumped_letter": _letter_json(self.bumped_letter),
-        }
-
 
 @dataclass(frozen=True)
-class ComplementPrefix:
+class ComplementPrefix(Witness):
     """A word not starting with a sign letter is accepted."""
 
     letter: object
     kind = "complement-prefix"
 
-    def to_dict(self):
-        return {"kind": self.kind, "letter": _letter_json(self.letter)}
-
 
 @dataclass(frozen=True)
-class ComplementInitialLanguage:
+class ComplementInitialLanguage(Witness):
     """The two all-sign fixings of some component disagree from the root."""
 
     component: int
     kind = "complement-initial-language"
-
-    def to_dict(self):
-        return {"kind": self.kind, "component": self.component}
-
-
-def _letter_json(letter):
-    if isinstance(letter, tuple):
-        return list(letter)
-    return letter
 
 
 @dataclass(frozen=True)

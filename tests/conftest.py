@@ -1,10 +1,11 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from rvacheck.aut_io import parse_automaton
 from rvacheck.automaton import sccs, trim_accessible
-from rvacheck.minimize import minimize_weak, normalized_colors
+from rvacheck.minimize import Morphism, minimize_weak, normalized_colors
 from rvacheck.shape import fra_states, mod_states
 from rvacheck.verdict import NotShape, Verdict
 
@@ -75,11 +76,15 @@ def reference_shape(aut, d_seq):
 
 def reference_minimal_form(aut):
     """The minimal form without the merge of equal rows: trim, Tarjan and
-    the color loop on every state, then :func:`minimize_weak`; None when
-    the reachable part is not weak."""
-    trimmed, _ = trim_accessible(aut)
+    the color loop on every state, then :func:`minimize_weak`.  Returns
+    the morphism from ``aut``, -1 on the states it does not reach, or
+    None when the reachable part is not weak."""
+    trimmed, new_id = trim_accessible(aut)
     info = sccs(trimmed)
     if not info.weak:
         return None
     colors = normalized_colors(trimmed, info), info.scc_of, info.recurrent, info.accepting
-    return minimize_weak(trimmed, colors).target
+    morphism = minimize_weak(trimmed, colors)
+    kept = range(aut.n) if new_id is None else new_id.tolist()
+    mapping = [int(morphism.mapping[t]) if t >= 0 else -1 for t in kept]
+    return Morphism(aut, morphism.target, np.array(mapping, dtype=np.int64))

@@ -1,5 +1,7 @@
 import contextlib
+import io
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -14,11 +16,13 @@ from hypothesis import strategies as st
 from rvacheck import aut_io
 from rvacheck.alphabet import AlphabetSpec
 from rvacheck.aut_io import AutomatonFormatError, parse_automaton, serialize_automaton
-from rvacheck.automaton import Automaton
+from rvacheck.automaton import SMALL_TABLE_CELLS, Automaton
 from rvacheck.cli import main
 from rvacheck.fixing import fix_parallel, fix_sequential
-from rvacheck.oracle import gen_known_rva, gen_random_weak, gen_residue_rva
-from tests.conftest import FIG2_PATH, ROOT
+from rvacheck.minimize import _merge_equal_rows
+from rvacheck.oracle import gen_interval_rva, gen_known_rva, gen_random_weak, gen_residue_rva
+from rvacheck.shape import check_minimal_shape
+from tests.conftest import FIG2_PATH, ROOT, reference_minimal_form
 
 
 # tokens for edits of a valid file: numbers stay small or exceed every
@@ -471,6 +475,27 @@ UNREACHABLE_NON_WEAK = (
 )
 
 
+def twinned_interval(n=800, seed=7):
+    """``gen_interval_rva(n)`` plus an unreachable twin (same row, same
+    acceptance) of every fifth state and one unreachable state of its
+    own, with the states shuffled: a table of at least
+    ``SMALL_TABLE_CELLS`` cells whose minimal form takes the merge, the
+    trim and the quotient."""
+    base = gen_interval_rva(n)
+    twins = range(0, n, 5)
+    rows = base.delta + [base.delta[q] for q in twins]
+    accepting = set(base.accepting) | {n + i for i, q in enumerate(twins) if q in base.accepting}
+    rows.append([len(rows)] * base.alphabet.num_letters)
+    perm = list(range(len(rows)))
+    random.Random(seed).shuffle(perm)
+    shuffled = [None] * len(rows)
+    for q, row in enumerate(rows):
+        shuffled[perm[q]] = [perm[t] for t in row]
+    return Automaton(
+        base.alphabet, len(rows), perm[base.initial], {perm[q] for q in accepting}, shuffled
+    )
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "rvacheck.cli", *argv],
@@ -637,6 +662,29 @@ class TestCli:
         assert sorted(payload["classes"].values()) == [[0], [1]]
         assert run_cli("check", str(path), "--mode", "parallel").returncode in (0, 1)
 
+    def test_minimize_and_classify_compose_merge_trim_and_quotient(self, tmp_path):
+        aut = twinned_interval()
+        assert aut.n * aut.alphabet.num_letters >= SMALL_TABLE_CELLS
+        assert _merge_equal_rows(aut)[1] is not None
+        want = reference_minimal_form(aut)
+        classes = {}
+        for q, target_state in enumerate(want.mapping.tolist()):
+            if target_state >= 0:
+                classes.setdefault(str(target_state), []).append(q)
+        assert sum(map(len, classes.values())) == 800  # the twins and the lone state: -1
+        path, out = tmp_path / "twinned.rva", tmp_path / "min.rva"
+        path.write_text(serialize_automaton(aut))
+        proc = run_cli("minimize", str(path), "-o", str(out), "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"states": want.target.n, "classes": classes}
+        assert parse_automaton(out.read_text()).structurally_equal(want.target)
+        proc = run_cli("classify", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["weak"] is True and payload["d_sequential"] is None
+        shape = check_minimal_shape(want.target, (want.target.initial,))
+        assert payload["d_parallel"] is shape.answer is True
+
     def test_complement_witness_value_is_signed(self, tmp_path):
         text = serialize_automaton(
             Automaton(AlphabetSpec(2, 1), 6, 0, frozenset({3}),
@@ -677,3 +725,68 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "weak: True" in out
+
+
+class TestCliFuzz:
+    EDITS = 200
+    WORDS = ["0 * / 0", "1 0 * / 1", "0,1 * / 0,0", "* / 1", "0 /", "2 / #"]
+
+    def seed_texts(self, tmp_path):
+        """fig2, gen files of every kind, and minimize -o files."""
+        texts = [FIG2_PATH.read_text()]
+        out = tmp_path / "seed.rva"
+        argvs = [
+            ["gen", "--kind", kind, "--base", base, "--dim", dim, "--encoding", enc]
+            for kind in ("full-space", "zero-only", "unit-box")
+            for base, dim, enc in (("2", "1", "parallel"), ("3", "2", "sequential"))
+        ]
+        argvs += [["gen", "--kind", "complement-full"], ["minimize", str(FIG2_PATH)]]
+        for argv in argvs:
+            assert self.run(argv + ["-o", str(out)]) == 0, argv
+            texts.append(out.read_text())
+        return texts
+
+    @staticmethod
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    def test_edited_files_exit_0_1_or_2_without_a_traceback(self, tmp_path):
+        texts = self.seed_texts(tmp_path)
+        rng = random.Random(20261019)
+        path, out = str(tmp_path / "edited.rva"), str(tmp_path / "out.rva")
+        codes = set()
+        for _ in range(self.EDITS):
+            lines = rng.choice(texts).splitlines()
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(lines) + 1)
+                op = rng.choice(["delete", "duplicate", "token", "insert"])
+                if op == "insert" or i == len(lines):
+                    lines.insert(i, rng.choice(FUZZ_WORDS) + rng.choice(FUZZ_TOKENS))
+                elif op == "delete":
+                    del lines[i]
+                elif op == "duplicate":
+                    lines.insert(i, lines[i])
+                else:
+                    words = lines[i].split() or [""]
+                    words[rng.randrange(len(words))] = rng.choice(FUZZ_TOKENS)
+                    lines[i] = " ".join(words)
+            text = "\n".join(lines) + "\n"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            mode = rng.choice(["parallel", "sequential", "dim1", "complement"])
+            for argv in (
+                ["check", path, "--mode", mode, "--json"],
+                ["check", path, "--mode", mode, "--complete-with-sink"],
+                ["classify", path],
+                ["minimize", path, "-o", out],
+                ["eval", path, "--word", rng.choice(self.WORDS)],
+                ["oracle", path, "--bound", "3"],
+            ):
+                try:
+                    code = self.run(argv)
+                except Exception as exc:  # a traceback from the CLI
+                    raise AssertionError((argv, text)) from exc
+                assert code in (0, 1, 2), (argv, text)
+                codes.add(code)
+        assert codes == {0, 1, 2}

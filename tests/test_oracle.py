@@ -448,7 +448,7 @@ class TestGenerators:
         for seed in range(20):
             aut = gen_random_sequential_shaped(8, 2, 2, seed)
             assert is_weak(aut)
-            m = minimal_form(aut)
+            m = minimal_form(aut).target
             assert check_minimal_shape(m, (m.initial,)).answer
 
     def test_interval_family(self):
@@ -618,28 +618,92 @@ def canonical_tables(n, width):
             yield rows
 
 
+def small_space(sizes, width):
+    """Every canonical table of ``sizes`` states over ``width`` letters
+    with every acceptance set, as ``(rows, accepting)`` in a fixed order."""
+    for n in sizes:
+        for rows in canonical_tables(n, width):
+            for r in range(n + 1):
+                for accepting in itertools.combinations(range(n), r):
+                    yield rows, accepting
+
+
+def agreeing_verdict(spec, rows, accepting, mode):
+    """The check's verdict in ``mode`` on the automaton of ``rows``,
+    rooted at 0, once it equals the oracle's and any "no" but not-weak
+    expands to a verified witness."""
+    aut = Automaton(spec, len(rows), 0, frozenset(accepting), rows)
+    check = check_rva_sequential if mode == SEQUENTIAL else check_rva_parallel
+    verdict = check(aut)
+    assert verdict.answer == saturation_oracle(aut).answer, (rows, accepting)
+    if verdict.answer or verdict.witness.kind == "not-weak":
+        return verdict
+    expansion = expand_witness(verdict, mode)
+    if isinstance(expansion, CounterexamplePair):
+        assert expansion.verify(aut), (rows, accepting)
+    else:
+        word = expansion.word
+        assert aut.accepts_lasso(word.prefix, word.period), (rows, accepting)
+        with pytest.raises(ValueError):  # not a valid encoding
+            value_real(lasso_to_pair(word), spec)
+    return verdict
+
+
 @pytest.mark.parametrize("base, dim, two_state_tables", [(2, 2, 992), (3, 1, 240)])
 def test_every_small_parallel_automaton_agrees_with_the_oracle(base, dim, two_state_tables):
     # n <= 2 over 5 (b=2 d=2) or 4 (b=3 d=1) letters, every acceptance set
     spec = AlphabetSpec(base, dim)
-    tables = {n: list(canonical_tables(n, spec.num_letters)) for n in (1, 2)}
-    assert [len(tables[1]), len(tables[2])] == [1, two_state_tables]
-    checked = 0
-    for n, rows_list in tables.items():
-        for rows, r in itertools.product(rows_list, range(n + 1)):
-            for accepting in itertools.combinations(range(n), r):
-                aut = Automaton(spec, n, 0, frozenset(accepting), rows)
-                verdict = check_rva_parallel(aut)
-                assert verdict.answer == saturation_oracle(aut).answer, (rows, accepting)
-                checked += 1
-                if verdict.answer or verdict.witness.kind == "not-weak":
-                    continue
-                expansion = expand_witness(verdict, "parallel")
-                if isinstance(expansion, CounterexamplePair):
-                    assert expansion.verify(aut), (rows, accepting)
-                else:
-                    word = expansion.word
-                    assert aut.accepts_lasso(word.prefix, word.period), (rows, accepting)
-                    with pytest.raises(ValueError):  # not a valid encoding
-                        value_real(lasso_to_pair(word), spec)
-    assert checked == 2 + 4 * two_state_tables
+    assert len(list(canonical_tables(2, spec.num_letters))) == two_state_tables
+    space = list(small_space((1, 2), spec.num_letters))
+    for rows, accepting in space:
+        agreeing_verdict(spec, rows, accepting, PARALLEL)
+    assert len(space) == 2 + 4 * two_state_tables
+
+
+# The n <= 3 spaces over 3 letters (parallel b=2 d=1, sequential b=2
+# d=2) hold 63,946 automata each.  Tier-1 checks every
+# THREE_STATE_STRIDE-th of them, and every table whose check finds a
+# pair mismatch or a broken zero loop: a run of each whole space found
+# these, and otherwise only yes, not-shape and not-weak answers.
+THREE_STATE_STRIDE = 11
+THREE_STATE_NOS = {
+    PARALLEL: {
+        ((0, 0, 1), (1, 2, 2), (2, 2, 2), (1,)): "pair-mismatch",
+        ((0, 0, 1), (2, 1, 2), (2, 2, 2), (1,)): "pair-mismatch",
+        ((0, 1, 2), (1, 1, 1), (1, 2, 1), (2,)): "pair-mismatch",
+        ((0, 1, 2), (1, 1, 1), (2, 2, 1), (2,)): "pair-mismatch",
+        ((1, 0, 2), (1, 1, 1), (1, 2, 1), (2,)): "zero-loop-broken",
+        ((1, 0, 2), (1, 1, 1), (2, 1, 1), (2,)): "zero-loop-broken",
+        ((1, 0, 2), (1, 1, 1), (2, 2, 1), (2,)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (1, 2, 1), (2,)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (1, 2, 1), (0, 2)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 1, 1), (2,)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 1, 1), (0, 2)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 2, 1), (2,)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 2, 1), (0, 2)): "zero-loop-broken",
+    },
+    SEQUENTIAL: {
+        ((1, 1, 2), (1, 1, 1), (1, 2, 1), (2,)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (1, 2, 1), (0, 2)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 1, 1), (2,)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 1, 1), (0, 2)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 2, 1), (2,)): "zero-loop-broken",
+        ((1, 1, 2), (1, 1, 1), (2, 2, 1), (0, 2)): "zero-loop-broken",
+    },
+}
+
+
+@pytest.mark.parametrize("encoding, dim", [(PARALLEL, 1), (SEQUENTIAL, 2)])
+def test_three_state_automata_agree_with_the_oracle_on_a_stride(encoding, dim):
+    spec = AlphabetSpec(2, dim, encoding)
+    listed = THREE_STATE_NOS[encoding]
+    found = {}
+    for i, (rows, accepting) in enumerate(small_space((1, 2, 3), spec.num_letters)):
+        case = (*map(tuple, rows), accepting) if len(rows) == 3 else None
+        if i % THREE_STATE_STRIDE and case not in listed:
+            continue
+        verdict = agreeing_verdict(spec, rows, accepting, encoding)
+        if case in listed:
+            found[case] = verdict.witness.kind
+    assert i + 1 == 63946
+    assert found == listed

@@ -56,7 +56,7 @@ def random_corpus(count, seed):
 def minimal_shape(aut):
     """The shape stage on the minimal form of ``aut``, or None when it is not weak."""
     m = minimal_form(aut)
-    return None if m is None else check_minimal_shape(m, (m.initial,))
+    return None if m is None else check_minimal_shape(m.target, (m.target.initial,))
 
 
 def as_sequential(aut, d):
@@ -81,20 +81,20 @@ def renumbered(aut, perm):
 class TestEmptyStates:
     def test_full_space_only_sink_dead(self, full_par_d2):
         assert dead_states(full_par_d2) == frozenset({2})
-        assert dead_sink(minimal_form(full_par_d2)) == 2
+        assert dead_sink(minimal_form(full_par_d2).target) == 2
 
     def test_no_accepting_everything_dead(self):
         spec = AlphabetSpec(2, 1)
         aut = Automaton(spec, 2, 0, frozenset(), [[1, 1, 1], [0, 0, 0]])
         assert dead_states(aut) == frozenset({0, 1})
-        m = minimal_form(aut)
+        m = minimal_form(aut).target
         assert m.n == 1 and dead_sink(m) == 0
 
     def test_all_accepting_strongly_connected_nothing_dead(self):
         spec = AlphabetSpec(2, 1)
         aut = Automaton(spec, 2, 0, frozenset({0, 1}), [[1, 1, 1], [0, 0, 0]])
         assert dead_states(aut) == frozenset()
-        assert dead_sink(minimal_form(aut)) == -1
+        assert dead_sink(minimal_form(aut).target) == -1
 
     def test_agrees_with_reachability_semantics(self):
         # a state is dead iff its image in the quotient is the dead sink
@@ -110,7 +110,7 @@ class TestEmptyStates:
 class TestMinimalFormFacts:
     def test_sink_and_accepting_loops_on_minimal_forms(self):
         for aut in random_corpus(1080, 20261018):
-            m = minimal_form(aut)
+            m = minimal_form(aut).target
             dead = dead_states(m)
             assert dead == ({dead_sink(m)} - {-1})
             assert m.accepting == accepting_recurrent_states(m)
