@@ -8,14 +8,14 @@ their successors, transient states inherit the maximum successor color.
 Refining the color partition with plain Moore/Hopcroft steps then yields
 the minimal weak automaton together with its morphism.
 
-Partition refinement runs as vectorized signature-splitting rounds over
-the automaton's transition array; each round ranks the (block,
-successor blocks) signatures in lexicographic order, so the engine is
-deterministic.  The round count is linear in the worst case: a unary
-counter of ``M`` states needs one round per state.  Measured from the
-colors to the stable partition, ``gen_residue_rva(6911)`` and
-``gen_interval_rva(25086)`` take 15 rounds and the 8207-state
-sequential product of two residue automata 17.
+Partition refinement runs Moore's rounds, vectorized over the
+transition array.  Their count is linear in the worst case: a unary
+counter of ``M`` states needs one round per state.  From the colors,
+``gen_residue_rva(6911)`` takes 15 rounds and the 8207-state sequential
+product of two residue automata 17.  A round ranks every state's
+(block, successor blocks) signature until a large table slows down;
+then it re-ranks only the predecessors of the states whose block id
+changed, so the counter costs time linear in ``M``.
 
 Before any of this, :func:`minimal_form` merges states with equal
 acceptance and equal rows on the array; merged states are bisimilar,
@@ -197,6 +197,9 @@ def _signature_ranks(code, distinct, num, column, width):
     return code, distinct
 
 
+_FEW = 3
+
+
 def _refinement_rounds(table, labels):
     """Moore refinement of ``labels``, one partition per round.
 
@@ -207,34 +210,45 @@ def _refinement_rounds(table, labels):
     ``k`` leads them to different labels.  The last partition yielded is
     stable.
 
-    A state's signature is its block, then its successors' blocks letter
-    by letter, ranked by :func:`_signature_ranks`; the ids are
-    deterministic.  A round costs a few numpy calls, not a few per
-    letter.
+    Yields ``(block, states, previous)``: the round's dense block ids,
+    live, and the ids that ``states`` had one round before.  A round
+    ranks every state's (block, successor blocks) signature (``states``
+    is every state) until, on a table of ``SMALL_TABLE_CELLS`` cells or
+    more, the last two rounds add at most ``1/_FEW`` as many blocks as
+    there were before them and as there are states without a block of
+    their own; :func:`rvacheck.incremental.incremental_rounds` goes on.
     """
-    width = table.shape[1]
+    n, width = table.shape
     labels = np.asarray(labels, dtype=np.int64)
     low = labels.min()
     block = _rank(labels - low, int(labels.max() - low) + 1)
     num = int(block.max()) + 1
+    every, previous, prior = slice(None), block, num  # round 0 changes no id
     while True:
-        yield block
+        yield block, every, previous
         code, distinct = _signature_ranks(
             block, num, num, lambda letter: block[table[:, letter]], width
         )
         if distinct == num:
             return
-        block = code
-        num = distinct
+        slow = (distinct - prior) * _FEW <= min(prior, n - distinct)
+        if slow and table.size >= SMALL_TABLE_CELLS:
+            break
+        block, num, prior, previous = code, distinct, num, block
+    from .incremental import incremental_rounds  # only a switching table compiles it
+
+    yield from incremental_rounds(table, block.copy(), num, code)
 
 
 def refine_partition(table, labels):
     """Coarsest refinement of ``labels`` stable under every letter.
 
-    The result maps each state to a block id: the last round of
-    :func:`_refinement_rounds`.
+    The result maps each state to a block id, dense and meaning only
+    equality: the last round of :func:`_refinement_rounds`.  A round
+    costs ``O(n)``, or after the switch ``O(m log m)`` for the ``m``
+    predecessors of the states whose id changed.
     """
-    for block in _refinement_rounds(table, labels):
+    for block, _, _ in _refinement_rounds(table, labels):
         pass
     return block
 
@@ -272,8 +286,9 @@ def minimize_weak(aut: Automaton, colors=None) -> Morphism:
     num = int(block.max()) + 1
     _, succ = _quotient(aut.table, block, num)
     order = reachable_states(succ.tolist(), int(block[aut.initial]))
-    if len(order) < num:  # unreachable blocks keep deterministic ids too
-        order += sorted(set(range(num)).difference(order))
+    if len(order) < num:  # unreachable blocks: by their smallest state
+        least = np.unique(block, return_index=True)[1]
+        order += sorted(set(range(num)).difference(order), key=least.__getitem__)
     ids = np.empty(num, dtype=np.int64)
     ids[order] = np.arange(num)
 
@@ -487,26 +502,28 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
        stays strictly below (colors never rise along a transition).
        This ends after at most ``color(x)`` steps.
 
-    The refinement costs ``O(rounds * n)`` time and memory for the
-    ``n`` states of the union: every round's blocks are kept for the
-    descent.  Each color step adds two breadth-first searches and at
-    most one pass of the cycle per state of the other side.  The lasso
-    is short but not always the shortest.
+    The refinement costs what :func:`refine_partition` costs.  The
+    descent rolls one block array back through each round's changed
+    ids: ``n`` per round that ranks all ``n`` states of the union, and
+    ``O(n log n)`` over the others.  Each color step adds two
+    breadth-first searches and at most one pass of the cycle per state
+    of the other side.  The lasso is short but not always the shortest.
     """
     union, (_, off), colors = _weak_union([a, b])
     color, scc_of, recurrent, accepting = (np.asarray(x).tolist() for x in colors)
     x, y = q, p + off
-    rounds = []  # the rounds before the one that splits q and p
-    for block in _refinement_rounds(union.table, color):
+    changes = []  # up to the round that splits q and p
+    for block, states, previous in _refinement_rounds(union.table, color):
+        changes.append((states, previous))
         if block[x] != block[y]:
             break
-        rounds.append(block)
     else:
         return None
 
     delta = union.delta
     word = []
-    for block in reversed(rounds):  # x and y are apart one round later
+    for states, previous in reversed(changes[1:]):
+        block[states] = previous  # one round back: x and y are apart one round later
         if block[x] == block[y]:
             rx, ry = delta[x], delta[y]
             i = next(i for i, t in enumerate(rx) if block[t] != block[ry[i]])

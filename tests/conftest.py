@@ -3,8 +3,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from rvacheck.alphabet import AlphabetSpec
 from rvacheck.aut_io import parse_automaton
-from rvacheck.automaton import sccs, trim_accessible
+from rvacheck.automaton import Automaton, sccs, trim_accessible
 from rvacheck.minimize import Morphism, minimize_weak, normalized_colors
 from rvacheck.shape import fra_states, mod_states
 from rvacheck.verdict import NotShape, Verdict
@@ -21,6 +22,17 @@ def fig2():
 @pytest.fixture(scope="session")
 def fig2_text():
     return FIG2_PATH.read_text()
+
+
+def unary_counter(m):
+    """A unary counter of ``m`` states: letter 0 steps ``r`` to ``r+1 mod
+    m``, letter 1 leads from 0 to an accepting sink and from the other
+    states to a dead one.  Refinement splits one state off per round, so
+    states only differ after going round."""
+    acc, dead = m, m + 1
+    delta = [[(r + 1) % m, acc if r == 0 else dead, dead] for r in range(m)]
+    delta += [[acc] * 3, [dead] * 3]
+    return Automaton(AlphabetSpec(2, 1), m + 2, 0, frozenset({acc}), delta)
 
 
 def accepting_recurrent_states(aut):

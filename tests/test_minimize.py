@@ -24,7 +24,7 @@ from rvacheck.oracle import (
     gen_residue_rva,
     parallelize_automaton,
 )
-from tests.conftest import reference_minimal_form
+from tests.conftest import reference_minimal_form, unary_counter
 
 
 def corpus(count, sizes=range(1, 9), bases=(2, 3), dims=(1, 2), kinds=("parallel",)):
@@ -125,6 +125,26 @@ class TestMinimizeWeak:
             morphism = minimize_weak(aut)
             assert morphism.mapping[aut.initial] == morphism.target.initial
             assert set(morphism.mapping) == set(range(morphism.target.n))
+
+    def test_numbering_ignores_block_ids(self, monkeypatch):
+        # the residue automaton's states are unreachable in the union, and
+        # its blocks are numbered by their smallest state, not by their ids
+        union = minimize._weak_union([gen_known_rva("full-space", 2, 1), gen_residue_rva(700)])[0]
+        assert union.n * union.alphabet.num_letters >= SMALL_TABLE_CELLS
+        want = minimize_weak(union)
+        assert want.target.n - minimize_weak(trim_accessible(union)[0]).target.n > 100
+        refine = minimize.refine_partition
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+
+            def shuffled(table, labels):
+                block = refine(table, labels)
+                return rng.permutation(int(block.max()) + 1)[block]
+
+            monkeypatch.setattr(minimize, "refine_partition", shuffled)
+            got = minimize_weak(union)
+            assert got.target.structurally_equal(want.target)
+            assert np.array_equal(got.mapping, want.mapping)
 
 
 def repetitive(seed, base, dim, encoding, weak):
@@ -501,16 +521,31 @@ class TestDistinguishingWord:
         # a unary counter whose states only differ after going round:
         # pairs split after up to m rounds
         m = 150
-        spec = AlphabetSpec(2, 1)
+        counter = unary_counter(m)
         acc, dead = m, m + 1
-        delta = [[(r + 1) % m, acc if r == 0 else dead, dead] for r in range(m)]
-        delta += [[acc] * 3, [dead] * 3]
-        counter = Automaton(spec, m + 2, 0, frozenset({acc}), delta)
         for q, p in [(1, 2), (0, m - 1), (3, 77), (m - 1, m - 2), (acc, dead)]:
             word = distinguishing_word(counter, q, counter, p)
             reference = distinguishing_lasso(counter, q, counter, p)
             assert len(word[0]) + len(word[1]) <= len(reference[0]) + len(reference[1])
             assert accepts_from(counter, q, word) != accepts_from(counter, p, word)
+
+    def test_deep_refinement_keeps_changes_not_rounds(self, monkeypatch):
+        # 4000 rounds over the 8004 states of the union: kept whole, the
+        # rounds would hold 32 million ids for the descent
+        counter = unary_counter(4000)
+        kept = []
+        rounds = minimize._refinement_rounds
+
+        def spy(table, labels):
+            for block, states, previous in rounds(table, labels):
+                kept.append(len(previous))
+                yield block, states, previous
+
+        monkeypatch.setattr(minimize, "_refinement_rounds", spy)
+        word = distinguishing_word(counter, 1, counter, 2)
+        assert accepts_from(counter, 1, word) != accepts_from(counter, 2, word)
+        assert len(kept) >= 4000
+        assert sum(kept[1:]) <= 8 * 2 * counter.n  # round 0 changes nothing
 
     def test_fig2_pairs(self, fig2):
         for q in range(fig2.n):

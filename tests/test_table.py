@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvacheck import minimize
 from rvacheck.alphabet import BLANK, PARALLEL, SEQUENTIAL, AlphabetSpec
 from rvacheck.aut_io import serialize_automaton
-from rvacheck.automaton import Automaton, trim_accessible
+from rvacheck.automaton import SMALL_TABLE_CELLS, Automaton, trim_accessible
 from rvacheck.check import _dual_tails, _first_mismatch
 from rvacheck.fixing import fix_parallel, fix_sequential
 from rvacheck.minimize import (
+    _refinement_rounds,
     joint_equivalence,
     minimize_weak,
     normalized_colors,
@@ -31,6 +33,7 @@ from rvacheck.oracle import (
     parallelize_automaton,
 )
 from rvacheck.verdict import PairMismatch
+from tests.conftest import unary_counter
 
 
 @st.composite
@@ -104,19 +107,27 @@ def union_classes_rows(automata):
 
 
 def moore_rows(rows, labels):
-    """Moore refinement over Python rows; ids rank signatures in order."""
+    """Moore refinement over Python rows, every round up to the stable
+    one; ids rank signatures in order."""
 
     def ranks(keys):
         order = {key: i for i, key in enumerate(sorted(set(keys)))}
         return [order[key] for key in keys]
 
-    block = ranks(labels)
+    rounds = [ranks(labels)]
     while True:
+        block = rounds[-1]
         sig = [(block[q], *(block[t] for t in row)) for q, row in enumerate(rows)]
         split = ranks(sig)
         if max(split) == max(block):
-            return block
-        block = split
+            return rounds
+        rounds.append(split)
+
+
+def first_seen(ids):
+    """``ids`` renumbered 0, 1, ... in order of first occurrence."""
+    seen = {}
+    return [seen.setdefault(i, len(seen)) for i in ids]
 
 
 def dual_tails_rows(m, f, skip=None):
@@ -253,14 +264,46 @@ def test_joint_classes_equal_a_list_built_union(aut):
         assert [c.tolist() for c in classes] == union_classes_rows(automata)
 
 
+def assert_moore_rounds(rows, labels):
+    """Every round of the refinement has Moore's partition, under dense
+    ids; the ids of large tables are not Moore's ranks, so partitions
+    are compared with ids renumbered by first occurrence."""
+    table = np.array(rows)
+    rounds = []
+    for block, _, _ in _refinement_rounds(table, labels):
+        ids = block.tolist()
+        assert set(ids) == set(range(max(ids) + 1))  # the trace reads max() + 1 blocks
+        rounds.append(first_seen(ids))
+    assert rounds == [first_seen(block) for block in moore_rows(rows, labels)]
+    assert first_seen(refine_partition(table, labels).tolist()) == rounds[-1]
+
+
 @given(weak_automata(), st.integers(0, 1500))
 @settings(max_examples=40, deadline=None)
 def test_refinement_equals_moore_loop(aut, extra):
-    # large automata keep more folds in the linear range of _rank
+    # large automata keep more folds in the linear range of _rank, and
+    # those of SMALL_TABLE_CELLS cells or more take incremental rounds
     if extra > 1000:
         aut = gen_random_weak(extra, aut.alphabet.base, aut.alphabet.dim, PARALLEL, extra)
-    labels = normalized_colors(aut)
-    assert refine_partition(aut.table, labels).tolist() == moore_rows(aut.delta, labels)
+    assert_moore_rounds(aut.delta, normalized_colors(aut))
+
+
+@pytest.mark.parametrize("gate", [SMALL_TABLE_CELLS, 0])
+@pytest.mark.parametrize("m", [50, 300])
+def test_counter_refinement_equals_moore_loop(monkeypatch, m, gate):
+    # one state splits off per round: the incremental rounds' own case
+    monkeypatch.setattr(minimize, "SMALL_TABLE_CELLS", gate)
+    counter = unary_counter(m)
+    assert_moore_rounds(counter.delta, normalized_colors(counter))
+
+
+def test_untouched_rest_moves_when_outnumbered(monkeypatch):
+    # round 1 splits 4 off {4, 5, 8, 9}, so round 2 re-ranks 0, 1 and 2,
+    # which outnumber the untouched 3 of their block: the rest takes a
+    # new id; both keeping the old one would merge them again
+    monkeypatch.setattr(minimize, "SMALL_TABLE_CELLS", 0)
+    rows = [[4], [4], [4], [5], [6], [7], [6], [7], [7], [7]]
+    assert_moore_rounds(rows, [0, 0, 0, 0, 1, 1, 2, 3, 1, 1])
 
 
 @given(weak_automata())
