@@ -7,7 +7,6 @@ from rvacheck.alphabet import AlphabetSpec
 from rvacheck.aut_io import parse_automaton
 from rvacheck.automaton import Automaton, sccs, trim_accessible
 from rvacheck.minimize import Morphism, minimize_weak, normalized_colors
-from rvacheck.shape import fra_states, mod_states
 from rvacheck.verdict import NotShape, Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -62,6 +61,32 @@ def dead_states(aut):
     return frozenset(dead)
 
 
+def reference_shape_sets(aut, d_seq, roots):
+    """The modular classes and the fractional closure, by worklists of sets.
+
+    Class 0 holds the ``roots`` and a digit leads from class ``i`` to
+    class ``(i + 1) % d_seq``; the fractional states are the least
+    digit-closed set holding every separator successor of a modular
+    state.  Returns the ``d_seq`` classes and the fractional set.
+    """
+    star = aut.alphabet.star_index
+    mods = [set() for _ in range(d_seq)]
+    todo = [(q, 0) for q in roots]
+    while todo:
+        q, i = todo.pop()
+        if q not in mods[i]:
+            mods[i].add(q)
+            todo += [(t, (i + 1) % d_seq) for t in aut.delta[q][:star]]
+    fra = set()
+    todo = [aut.delta[q][star] for part in mods for q in part]
+    while todo:
+        q = todo.pop()
+        if q not in fra:
+            fra.add(q)
+            todo += aut.delta[q][:star]
+    return mods, fra
+
+
 def reference_shape(aut, d_seq):
     """The shape test on any automaton, from SCC flags and :func:`dead_states`.
 
@@ -74,8 +99,8 @@ def reference_shape(aut, d_seq):
     info = sccs(aut)
     dead = dead_states(aut)
     star = aut.alphabet.star_index
-    mods = mod_states(aut, d_seq)
-    suspects = set(fra_states(aut, mods)).union(*mods[1:])
+    mods, fra = reference_shape_sets(aut, d_seq, (aut.initial,))
+    suspects = fra.union(*mods[1:])
     for q in sorted(suspects):
         if aut.delta[q][star] not in dead:
             return Verdict(False, NotShape(q))
