@@ -1,26 +1,28 @@
 """Total deterministic Buchi automata over digit alphabets.
 
 States are dense integers.  The transition table has two read-only
-forms.  ``table`` is one ``n x letters`` numpy int64 array, which the
-vectorized stages (fixings, unions, partition refinement, the dual-tail
-test) read with gathers.  ``delta`` is the same table as a list of
-``n`` rows, which the Python walks (breadth-first searches, the
-oracle, and the SCCs and colors of a table below ``SMALL_TABLE_CELLS``)
-index.  An automaton stores the form it was built
-from and derives the other once, on first read: a generated automaton,
-or a parsed one below ``SMALL_TABLE_CELLS``, keeps its rows and gets
-its array when a vectorized stage first needs it; a larger parsed one,
-or one built by a vectorized stage, keeps its array and gets rows only
-if a Python walk reads them.  Values are treated as immutable after
-construction: every operation here is a pure read and results are
-fresh objects.
+forms.  ``table`` is one ``n x letters`` numpy int64 array, which every
+stage of a check reads with gathers: trim, fixings, unions, partition
+refinement, the shape walk, the dual-tail test.  The one reachability
+walk, :func:`reachable`, takes Python rows from it only for a table
+below ``SMALL_TABLE_CELLS`` cells or a walk deeper than
+``DEEP_WALK_LEVELS`` levels.  ``delta`` is the same table as a list of
+``n`` rows, which the SCCs and colors of a table below
+``SMALL_TABLE_CELLS``, witness walks and the oracle index.  An
+automaton stores the form it was built from and derives the other
+once, on first read: a generated automaton, or a parsed one below
+``SMALL_TABLE_CELLS``, keeps its rows and gets its array when a stage
+first needs it; a larger parsed one, or one built by a vectorized
+stage, keeps its array, and no stage of a check builds its rows.
+Values are treated as immutable after construction: every operation
+here is a pure read and results are fresh objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -36,6 +38,11 @@ from .alphabet import AlphabetSpec
 # (minimize.weak_colors): on the 1124 tables a 400-automaton corpus
 # sweep colors (at most 450 cells), the quotient took 5.5x as long.
 SMALL_TABLE_CELLS = 2048
+
+# A walk of :func:`reachable` still going after this many levels of
+# gathers finishes on Python rows: a level costs microseconds however few
+# states it holds, and a unary counter of 16,000 states has 16,000 levels.
+DEEP_WALK_LEVELS = 64
 
 
 class Automaton:
@@ -244,18 +251,53 @@ def is_weak(aut: Automaton, info: SccInfo | None = None) -> bool:
     return (info or sccs(aut)).weak
 
 
-def reachable_states(rows, root):
-    """Nodes reachable from ``root`` over successor ``rows``, in BFS
-    discovery order."""
-    order = [root]
-    seen = bytearray(len(rows))
-    seen[root] = 1
-    for q in order:
+def reachable(table, roots):
+    """The states of ``table`` reached from ``roots``, in breadth-first
+    discovery order.
+
+    Returns an int64 array: the roots in order of first occurrence, then
+    each level in order of first occurrence over (parent, letter).  A
+    table of ``SMALL_TABLE_CELLS`` cells or more is walked one level per
+    round of gathers, a smaller one on its Python rows, and so is the
+    rest of a walk still going after ``DEEP_WALK_LEVELS`` levels.
+    """
+    n = len(table)
+    if table.size < SMALL_TABLE_CELLS:
+        order, seen = [], bytearray(n)
+        for q in roots:
+            if not seen[q]:
+                seen[q] = 1
+                order.append(q)
+        return _walk_rows(table, order, seen, 0)
+    seen = np.zeros(n, dtype=bool)
+    first = np.full(n, np.iinfo(np.int64).max)  # each state's slot in the level it enters
+
+    def entering(fresh):
+        slot = np.arange(len(fresh))
+        np.minimum.at(first, fresh, slot)
+        return fresh[first[fresh] == slot]
+
+    levels = [entering(np.asarray(roots, dtype=np.int64))]
+    while len(levels[-1]):
+        seen[levels[-1]] = True
+        if len(levels) == DEEP_WALK_LEVELS:
+            order = np.concatenate(levels)
+            return _walk_rows(table, order.tolist(), bytearray(seen), len(order) - len(levels[-1]))
+        fresh = table[levels[-1]].ravel()
+        levels.append(entering(fresh[~seen[fresh]]))
+    return np.concatenate(levels)
+
+
+def _walk_rows(table, order, seen, start):
+    """:func:`reachable` on the Python rows of ``table``, resumed with the
+    states of ``order`` from ``start`` on still to expand."""
+    rows = table.tolist()
+    for q in islice(order, start, None):
         for t in rows[q]:
             if not seen[t]:
                 seen[t] = 1
                 order.append(t)
-    return order
+    return np.array(order, dtype=np.int64)
 
 
 def trim_accessible(aut: Automaton):
@@ -266,7 +308,7 @@ def trim_accessible(aut: Automaton):
     when every state is reachable.  Kept states keep their relative
     order.  The language is preserved.
     """
-    order = reachable_states(aut.delta, aut.initial)
+    order = reachable(aut.table, (aut.initial,))
     if len(order) == aut.n:
         return aut, None
     kept = np.sort(order)

@@ -93,7 +93,7 @@ def _check(aut: Automaton, components) -> Verdict:
 
     q = m.initial
     for _ in range(m.alphabet.seq_dim):
-        q = m.delta[q][0]  # the all-zero letter has index 0
+        q = m.table[q, 0]  # the all-zero letter has index 0
     if q != m.initial:
         return Verdict(False, ZeroLoopBroken(m.initial), minimized=m)
 

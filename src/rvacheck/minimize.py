@@ -17,9 +17,10 @@ product of two residue automata 17.  A round ranks every state's
 then it re-ranks only the predecessors of the states whose block id
 changed, so the counter costs time linear in ``M``.
 
-Before any of this, :func:`minimal_form` merges states with equal
-acceptance and equal rows on the array; merged states are bisimilar,
-so the minimal form is the same.  Its docstring has the measurements.
+Before any of this, :func:`minimal_form` trims the input and merges
+states with equal acceptance and equal rows on the array; merged states
+are bisimilar, so the minimal form is the same.  Its docstring has the
+measurements.
 
 Quotients, unions and classes stay arrays: the minimal automaton's
 table is one gather of block ids, a union stacks its members' tables
@@ -55,7 +56,7 @@ from .automaton import (
     SMALL_TABLE_CELLS,
     Automaton,
     SccInfo,
-    reachable_states,
+    reachable,
     sccs,
     strong_components,
     trim_accessible,
@@ -285,10 +286,11 @@ def minimize_weak(aut: Automaton, colors=None) -> Morphism:
     block = refine_partition(aut.table, color)
     num = int(block.max()) + 1
     _, succ = _quotient(aut.table, block, num)
-    order = reachable_states(succ.tolist(), int(block[aut.initial]))
+    order = reachable(succ, (int(block[aut.initial]),))
     if len(order) < num:  # unreachable blocks: by their smallest state
         least = np.unique(block, return_index=True)[1]
-        order += sorted(set(range(num)).difference(order), key=least.__getitem__)
+        rest = np.setdiff1d(np.arange(num), order)
+        order = np.concatenate((order, rest[np.argsort(least[rest])]))
     ids = np.empty(num, dtype=np.int64)
     ids[order] = np.arange(num)
 
@@ -350,51 +352,37 @@ def _merge_equal_rows(aut: Automaton):
     return quotient, state_of
 
 
-def _reached(table, root):
-    """Which states of ``table`` ``root`` reaches: a breadth-first search
-    one level per round of gathers, each new state entering a level once."""
-    seen = np.zeros(len(table), dtype=bool)
-    slot = np.empty(len(table), dtype=np.int64)
-    level = np.array([root])
-    while len(level):
-        seen[level] = True
-        fresh = table[level].ravel()
-        fresh = fresh[~seen[fresh]]
-        slot[fresh] = np.arange(len(fresh))
-        level = fresh[slot[fresh] == np.arange(len(fresh))]
-    return seen
-
-
 def minimal_form(aut: Automaton):
-    """Merge equal rows, trim, colour and quotient: the morphism from
+    """Trim, merge equal rows, colour and quotient: the morphism from
     ``aut`` onto its minimal weak automaton; None when the reachable
     part is not weak.
 
     The target is the minimal weak automaton of the language, with the
     numbering of :func:`minimize_weak`; the mapping composes the maps of
-    the merge, the trim and the quotient, with -1 on every state that
+    the trim, the merge and the quotient, with -1 on every state that
+    ``aut`` does not reach.  The trim walks the table array
+    (:func:`reachable`), so a merged class never holds a state that
     ``aut`` does not reach.  The merge rounds of
-    :func:`_merge_equal_rows` run on the table array before any Python
-    walk, so an input that collapses reaches trim, SCCs and colours at a
-    fraction of its size: ``gen_interval_rva(25086)`` takes 11 rounds,
-    10 of them taken, from 25086 states to 48.  The residue and product
-    inputs take 1 round and merge nothing.  Tables below
-    ``SMALL_TABLE_CELLS`` cells skip the merge.
+    :func:`_merge_equal_rows` run on the array before any Python walk,
+    so an input that collapses reaches SCCs and colours at a fraction of
+    its size: ``gen_interval_rva(25086)`` takes 11 rounds, 10 of them
+    taken, from 25086 states to 48.  The residue and product inputs take
+    1 round and merge nothing.  Tables below ``SMALL_TABLE_CELLS`` cells
+    skip the merge.
     """
-    merged, merge_map = aut, None
-    if aut.n * aut.alphabet.num_letters >= SMALL_TABLE_CELLS:
-        merged, merge_map = _merge_equal_rows(aut)
-    trimmed, trim_map = trim_accessible(merged)
-    colors = weak_colors(trimmed)
+    trimmed, trim_map = trim_accessible(aut)
+    merged, merge_map = trimmed, None
+    if trimmed.n * aut.alphabet.num_letters >= SMALL_TABLE_CELLS:
+        merged, merge_map = _merge_equal_rows(trimmed)
+    colors = weak_colors(merged)
     if colors is None:
         return None
-    morphism = minimize_weak(trimmed, colors)
+    morphism = minimize_weak(merged, colors)
     mapping = morphism.mapping
+    if merge_map is not None:
+        mapping = mapping[merge_map]
     if trim_map is not None:
         mapping = np.append(mapping, -1)[trim_map]  # -1 picks the appended -1
-    if merge_map is not None:
-        # a merged state can hold states that aut does not reach
-        mapping = np.where(_reached(aut.table, aut.initial), mapping[merge_map], -1)
     return Morphism(aut, morphism.target, mapping)
 
 

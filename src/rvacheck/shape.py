@@ -3,10 +3,11 @@
 An automaton reads valid encodings only when every accepted word carries
 exactly one separator, placed after a number of digits divisible by the
 sequential dimension.  The test runs on the minimal form ``m`` of the
-automaton (the target of :func:`rvacheck.minimize.minimal_form`) and walks two
-families of its states: the states reached while the digit counter is
-``i`` modulo the digits per vector, and the states reachable after a
-separator.
+automaton (the target of :func:`rvacheck.minimize.minimal_form`) and
+finds two families of its states in one walk of a table of (state,
+class) codes (:func:`shape_states`): the states reached while the digit
+counter is ``i`` modulo the digits per vector, and the states reachable
+after a separator.
 
 Two facts about ``m`` stand in for an SCC pass and an emptiness sweep:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automaton import Automaton
+from .automaton import Automaton, reachable
 from .verdict import NotShape, Verdict
 
 
@@ -43,56 +44,26 @@ def dead_sink(m: Automaton) -> int:
     return next((int(q) for q in loops if q not in m.accepting), -1)
 
 
-def mod_states(aut: Automaton, d_seq: int):
-    """Least family with the initial state in class 0, digits advancing the class."""
-    return _mod_states_counted(aut, d_seq, (aut.initial,))[0]
+def shape_states(aut: Automaton, roots):
+    """The modular classes and the fractional closure read from ``roots``.
 
-
-def _mod_states_counted(aut: Automaton, d_seq: int, roots):
-    """:func:`mod_states` with class 0 seeded by ``roots``, plus its
-    worklist pops, at most ``n * d_seq``."""
-    if d_seq < 1:
-        raise ValueError("d_seq must be positive")
-    star = aut.alphabet.star_index
-    members = [set() for _ in range(d_seq)]
-    members[0].update(roots)
-    todo = [(q, 0) for q in members[0]]
-    visits = 0
-    delta = aut.delta
-    while todo:
-        q, i = todo.pop()
-        visits += 1
-        j = (i + 1) % d_seq
-        row = delta[q]
-        for li in range(star):
-            t = row[li]
-            if t not in members[j]:
-                members[j].add(t)
-                todo.append((t, j))
-    return [frozenset(s) for s in members], visits
-
-
-def fra_states(aut: Automaton, mods) -> frozenset:
-    """Least digit-closed set containing every separator successor of the mod states."""
-    star = aut.alphabet.star_index
-    delta = aut.delta
-    seen = set()
-    todo = []
-    for part in mods:
-        for q in part:
-            t = delta[q][star]
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    while todo:
-        q = todo.pop()
-        row = delta[q]
-        for li in range(star):
-            t = row[li]
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return frozenset(seen)
+    With ``d`` digits per vector (``aut.alphabet.seq_dim``), the code of
+    state ``q`` in modular class ``i < d`` is ``i * n + q``, and its
+    code as a fractional state is ``d * n + q``.  Class 0 holds the
+    ``roots``, and a digit leads from class ``i`` to class
+    ``(i + 1) % d``; the fractional states are the least digit-closed
+    set holding every separator successor of a modular state.  Returns
+    the codes that one :func:`reachable` walk over the table of codes
+    reaches, each once.
+    """
+    spec, n = aut.alphabet, aut.n
+    d, star = spec.seq_dim, spec.star_index
+    offset = np.full((d + 1, 1, star + 1), d * n)  # the first code of the class a letter leads to
+    for i in range(d):
+        offset[i, 0, :star] = (i + 1) % d * n
+    codes = offset + aut.table
+    codes[d, :, star] = codes[d, :, 0]  # a separator after a fractional state is not followed
+    return reachable(codes.reshape(-1, star + 1), roots)
 
 
 def check_minimal_shape(m: Automaton, roots) -> Verdict:
@@ -109,18 +80,17 @@ def check_minimal_shape(m: Automaton, roots) -> Verdict:
     separator-free or infinitely-separated word would be accepted).  The
     failure witness is the smallest fractional or misaligned modular
     state whose separator successor is live, else the smallest accepting
-    state of the first modular class that has one.
+    state of the first modular class that has one: the smallest
+    accepting modular code of :func:`shape_states`.
     """
-    star = m.alphabet.star_index
-    sink = dead_sink(m)
-    mods = _mod_states_counted(m, m.alphabet.seq_dim, roots)[0]
-    suspects = fra_states(m, mods).union(*mods[1:])
-    delta = m.delta
-    live = [q for q in suspects if delta[q][star] != sink]
+    n, d = m.n, m.alphabet.seq_dim
+    codes = shape_states(m, roots).tolist()
+    sink, seps = dead_sink(m), m.table[:, m.alphabet.star_index].tolist()
+    # misaligned modular and fractional states whose separator leads somewhere
+    live = [c % n for c in codes if c >= n and seps[c % n] != sink]
     if live:
         return Verdict(False, NotShape(min(live)), minimized=m)
-    for part in mods:
-        looping = part & m.accepting
-        if looping:
-            return Verdict(False, NotShape(min(looping)), minimized=m)
+    looping = [c for c in codes if c < d * n and c % n in m.accepting]
+    if looping:
+        return Verdict(False, NotShape(min(looping) % n), minimized=m)
     return Verdict(True, minimized=m)

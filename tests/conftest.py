@@ -3,10 +3,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from rvacheck.alphabet import AlphabetSpec
+from rvacheck.alphabet import SEQUENTIAL, AlphabetSpec
 from rvacheck.aut_io import parse_automaton
 from rvacheck.automaton import Automaton, sccs, trim_accessible
 from rvacheck.minimize import Morphism, minimize_weak, normalized_colors
+from rvacheck.shape import shape_states
 from rvacheck.verdict import NotShape, Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -85,6 +86,26 @@ def reference_shape_sets(aut, d_seq, roots):
             fra.add(q)
             todo += aut.delta[q][:star]
     return mods, fra
+
+
+def as_sequential(aut, d):
+    """``aut``'s table over the ``d``-sequential alphabet of its base.
+
+    Takes an alphabet of single digits and the separator: a sequential
+    one, or a parallel one of dimension 1.
+    """
+    spec = AlphabetSpec(aut.alphabet.base, d, SEQUENTIAL)
+    return Automaton(spec, aut.n, aut.initial, aut.accepting, aut.table)
+
+
+def shape_sets(aut, roots):
+    """:func:`shape_states` decoded as :func:`reference_shape_sets` gives
+    it, after checking that each (state, class) code is reached once."""
+    d, n = aut.alphabet.seq_dim, aut.n
+    codes = shape_states(aut, roots).tolist()
+    assert len(set(codes)) == len(codes)
+    mods = [{c % n for c in codes if c // n == i} for i in range(d)]
+    return mods, {c % n for c in codes if c // n == d}
 
 
 def reference_shape(aut, d_seq):

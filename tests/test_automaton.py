@@ -1,14 +1,19 @@
 import itertools
+from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvacheck.alphabet import BLANK, STAR, AlphabetSpec
 from rvacheck.automaton import (
+    DEEP_WALK_LEVELS,
+    SMALL_TABLE_CELLS,
     Automaton,
     is_weak,
+    reachable,
     sccs,
     strong_components,
     trim_accessible,
@@ -287,3 +292,50 @@ class TestTrim:
         assert mapping.tolist() == [0, 1, -1, 2]
         assert trimmed.initial == 2
         assert trimmed.delta == [[0, 0, 0], [1, 1, 1], [1, 0, 2]]
+
+
+def fifo_search(rows, roots):
+    """Plain breadth-first search with a first-in first-out queue."""
+    order = list(dict.fromkeys(roots))
+    seen, queue = set(order), deque(order)
+    while queue:
+        for t in rows[queue.popleft()]:
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+                queue.append(t)
+    return order
+
+
+class TestReachable:
+    def assert_fifo(self, rows, roots):
+        got = reachable(np.array(rows, dtype=np.int64), roots)
+        assert got.dtype == np.int64
+        assert got.tolist() == fifo_search(rows, roots)
+
+    def test_random_tables_on_both_sides_of_the_gate(self):
+        rng = np.random.default_rng(7)
+        for width in (1, 2, 3, 5):
+            small, large = SMALL_TABLE_CELLS // width - 1, SMALL_TABLE_CELLS // width + 1
+            for n in (1, 2, 9, 60, small, large, 5000):
+                rows = rng.integers(0, n, size=(n, width)).tolist()
+                roots = rng.integers(0, n, size=4).tolist()
+                self.assert_fifo(rows, roots[:1])
+                self.assert_fifo(rows, roots + roots[::-1])  # duplicate roots
+
+    def test_first_occurrence_within_a_level(self):
+        # level 1 is [1, 2]; 3 is reached from 1 on letter 0 and from 2 on
+        # letter 1, so it comes before 5 and 4
+        head = [[1, 2], [3, 5], [4, 3], [3, 3], [4, 4], [5, 5]]
+        for pad in (0, SMALL_TABLE_CELLS):  # unreached self-loops cross the gate
+            rows = head + [[q, q] for q in range(len(head), len(head) + pad)]
+            assert reachable(np.array(rows), (0,)).tolist() == [0, 1, 2, 3, 5, 4]
+            self.assert_fifo(rows, (2, 0, 2, 1))
+
+    def test_deep_walks_finish_on_rows(self):
+        rng = np.random.default_rng(3)
+        for n in (DEEP_WALK_LEVELS + 1, 3 * DEEP_WALK_LEVELS, SMALL_TABLE_CELLS, 20000):
+            # letter 0 walks down a chain, letter 1 leads back up it
+            rows = [[min(q + 1, n - 1), int(rng.integers(0, q + 1))] for q in range(n)]
+            self.assert_fifo(rows, (0,))
+            self.assert_fifo(rows, (n // 2, 0, n // 2))

@@ -7,6 +7,12 @@ import pytest
 from rvacheck import minimize
 from rvacheck.alphabet import PARALLEL, SEQUENTIAL, AlphabetSpec
 from rvacheck.automaton import SMALL_TABLE_CELLS, Automaton, is_weak, sccs, trim_accessible
+from rvacheck.check import (
+    check_rva_complement_parallel,
+    check_rva_dim1,
+    check_rva_parallel,
+    check_rva_sequential,
+)
 from rvacheck.fixing import dual_fixings, fix_parallel, fix_sequential
 from rvacheck.minimize import (
     _merge_equal_rows,
@@ -191,6 +197,16 @@ def two_chains(length, spec=AlphabetSpec(2, 1)):
     return Automaton(spec, dead + 1, 0, frozenset({sink}), rows)
 
 
+def twinned_chain(length):
+    """A chain of self-looping states of alternating acceptance, which
+    letter 0 walks down, and an unreachable twin of each state with its
+    row: each twin merges with a state that the initial one reaches only
+    ``length`` levels down."""
+    rows = [[min(q + 1, length - 1), q, q] for q in range(length)]
+    accepting = frozenset(q for q in range(2 * length) if q % length % 2 == 0)
+    return Automaton(AlphabetSpec(2, 1), 2 * length, 0, accepting, np.array(rows + rows))
+
+
 class TestMergeEqualRows:
     @pytest.fixture(autouse=True, params=["merge-every-table", "default-cell-bound"])
     def merge_bound(self, request, monkeypatch):
@@ -223,6 +239,9 @@ class TestMergeEqualRows:
                         assert list(state_of[aut.table[q]]) == quotient.delta[state_of[q]]
                 not_weak += self.assert_same_minimal_form(aut) is None
         assert merged >= 200 and not_weak >= 100, (merged, not_weak)
+        twins = twinned_chain(20000)
+        assert self.assert_same_minimal_form(twins).n == 20000
+        assert (minimal_form(twins).mapping[20000:] == -1).all()
 
     def test_unreachable_non_weak_cycle_is_ignored(self):
         spec = AlphabetSpec(2, 1)
@@ -242,18 +261,28 @@ class TestMergeEqualRows:
                 # of at least five: under a quarter, so it is not taken
                 assert _merge_equal_rows(aut)[0] is aut
 
-    def test_interval_collapses_before_any_walk(self, monkeypatch):
+    def test_interval_collapses(self):
         aut = gen_interval_rva(2000)
         quotient, _ = _merge_equal_rows(aut)
         assert quotient.n < 60, quotient.n
         assert self.assert_same_minimal_form(aut).n == minimal_form(quotient).target.n
-        # trim, and every walk after it, reads the quotient, not the input
-        walked = []
-        monkeypatch.setattr(
-            minimize, "trim_accessible", lambda a: walked.append(a.n) or trim_accessible(a)
-        )
-        minimal_form(aut)
-        assert walked == [quotient.n]
+
+
+def test_checks_of_a_large_table_build_no_rows():
+    # every stage of a check reads the array of a table this large: no
+    # Python rows are built for the input or for its minimal form
+    residue = gen_residue_rva(20001)
+    sequential = AlphabetSpec(2, 1, SEQUENTIAL)
+    for spec, check in [
+        (residue.alphabet, check_rva_parallel),
+        (residue.alphabet, check_rva_dim1),
+        (residue.alphabet, check_rva_complement_parallel),
+        (sequential, check_rva_sequential),
+    ]:
+        aut = Automaton(spec, residue.n, residue.initial, residue.accepting, residue.table)
+        verdict = check(aut)
+        assert verdict.minimized.n >= 19997
+        assert "delta" not in vars(aut) and "delta" not in vars(verdict.minimized)
 
 
 class TestJointEquivalence:

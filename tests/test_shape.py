@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvacheck.alphabet import SEQUENTIAL, AlphabetSpec
+from rvacheck.alphabet import AlphabetSpec
 from rvacheck.automaton import Automaton
 from rvacheck.check import (
     check_rva_complement_parallel,
@@ -19,14 +19,15 @@ from rvacheck.oracle import (
     gen_random_weak,
     parallelize_automaton,
 )
-from rvacheck.shape import (
-    _mod_states_counted,
-    check_minimal_shape,
-    dead_sink,
-    fra_states,
-    mod_states,
+from rvacheck.shape import check_minimal_shape, dead_sink
+from tests.conftest import (
+    accepting_recurrent_states,
+    as_sequential,
+    dead_states,
+    reference_shape,
+    reference_shape_sets,
+    shape_sets,
 )
-from tests.conftest import accepting_recurrent_states, dead_states, reference_shape
 
 
 @pytest.fixture(scope="module")
@@ -57,16 +58,6 @@ def minimal_shape(aut):
     """The shape stage on the minimal form of ``aut``, or None when it is not weak."""
     m = minimal_form(aut)
     return None if m is None else check_minimal_shape(m.target, (m.target.initial,))
-
-
-def as_sequential(aut, d):
-    """``aut``'s table over the ``d``-sequential alphabet of its base.
-
-    Takes an alphabet of single digits and the separator: a sequential
-    one, or a parallel one of dimension 1.
-    """
-    spec = AlphabetSpec(aut.alphabet.base, d, SEQUENTIAL)
-    return Automaton(spec, aut.n, aut.initial, aut.accepting, aut.table)
 
 
 def renumbered(aut, perm):
@@ -125,48 +116,46 @@ class TestMinimalFormFacts:
 
 class TestModFraSets:
     def test_sequential_full_space_layers(self, full_seq_d2):
-        mods = mod_states(full_seq_d2, 2)
-        assert mods[0] == frozenset({0})
-        assert mods[1] == frozenset({1})
+        mods, fra = shape_sets(full_seq_d2, (full_seq_d2.initial,))
+        assert mods[0] == {0}
+        assert mods[1] == {1}
         tail, dead = 2, 3
-        assert fra_states(full_seq_d2, mods) == frozenset({tail, dead})
+        assert fra == {tail, dead}
 
     def test_parallel_full_space_sets(self, full_par_d2):
-        mods = mod_states(full_par_d2, 1)
-        assert mods[0] == frozenset({0})
-        assert fra_states(full_par_d2, mods) == frozenset({1})
+        mods, fra = shape_sets(full_par_d2, (full_par_d2.initial,))
+        assert mods[0] == {0}
+        assert fra == {1}
 
     def test_single_class_is_digit_closure(self, fig2):
-        mods = mod_states(fig2, 1)
-        assert mods[0] == frozenset({0, 1, 2, 3, 4, 6})
+        mods, _ = shape_sets(fig2, (fig2.initial,))
+        assert mods[0] == {0, 1, 2, 3, 4, 6}
 
     def test_star_to_sink_fra_subset_of_dead(self):
         spec = AlphabetSpec(2, 1)
         # digit loop on the initial state, separator falls into the sink
         aut = Automaton(spec, 2, 0, frozenset(), [[0, 0, 1], [1, 1, 1]])
-        mods = mod_states(aut, 1)
-        fra = fra_states(aut, mods)
+        _, fra = shape_sets(aut, (aut.initial,))
         assert fra <= dead_states(aut)
 
     def test_fixpoint_recheck(self):
         for seed in range(30):
             for d_seq in (1, 2, 3):
-                aut = gen_random_weak(1 + seed % 6, 2, 1, "parallel", seed)
-                mods, visits = _mod_states_counted(aut, d_seq, (aut.initial,))
+                aut = as_sequential(gen_random_weak(1 + seed % 6, 2, 1, "parallel", seed), d_seq)
+                mods, fra = shape_sets(aut, (aut.initial,))
                 star = aut.alphabet.star_index
                 assert aut.initial in mods[0]
                 for i, part in enumerate(mods):
                     for q in part:
                         for li in range(star):
                             assert aut.delta[q][li] in mods[(i + 1) % d_seq]
-                fra = fra_states(aut, mods)
                 union = set().union(*mods)
                 for q in union:
                     assert aut.delta[q][star] in fra
                 for q in fra:
                     for li in range(star):
                         assert aut.delta[q][li] in fra
-                assert visits <= aut.n * d_seq
+                assert (mods, fra) == reference_shape_sets(aut, d_seq, (aut.initial,))
 
 
 class TestShapeChecks:

@@ -278,14 +278,42 @@ def assert_moore_rounds(rows, labels):
     assert first_seen(refine_partition(table, labels).tolist()) == rounds[-1]
 
 
-@given(weak_automata(), st.integers(0, 1500))
+def joined_chains(lengths):
+    """Chains of the given lengths that digit 0 walks down into two
+    shared sinks, the accepting one after the chains of even index and
+    the dead one after the others; every other letter leads to the dead
+    sink.  States as far from the accepting sink split in that round
+    only, so the rounds go on as long as the longest chain into it."""
+    acc, dead = 0, 1
+    rows = [[acc] * 4, [dead] * 4]
+    for k, length in enumerate(lengths):
+        start = len(rows)
+        for q in range(start, start + length):
+            rows.append([q + 1 if q + 1 < start + length else (acc, dead)[k % 2]] + [dead] * 3)
+    return Automaton(AlphabetSpec(3, 1), len(rows), 2, frozenset({acc}), rows)
+
+
+@given(
+    weak_automata(),
+    st.integers(0, 1500),
+    st.booleans(),
+    st.lists(st.integers(30, 120), min_size=7, max_size=10),
+)
 @settings(max_examples=40, deadline=None)
-def test_refinement_equals_moore_loop(aut, extra):
+def test_refinement_equals_moore_loop(aut, extra, chains, lengths):
     # large automata keep more folds in the linear range of _rank, and
-    # those of SMALL_TABLE_CELLS cells or more take incremental rounds
-    if extra > 1000:
+    # those of SMALL_TABLE_CELLS cells or more take incremental rounds;
+    # the large random ones settle at round 0 and joined chains late, so
+    # chains also run with the incremental rounds at every size
+    gates = [SMALL_TABLE_CELLS]
+    if chains:
+        aut, gates = joined_chains(lengths), [SMALL_TABLE_CELLS, 0]
+    elif extra > 1000:
         aut = gen_random_weak(extra, aut.alphabet.base, aut.alphabet.dim, PARALLEL, extra)
-    assert_moore_rounds(aut.delta, normalized_colors(aut))
+    for gate in gates:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(minimize, "SMALL_TABLE_CELLS", gate)
+            assert_moore_rounds(aut.delta, normalized_colors(aut))
 
 
 @pytest.mark.parametrize("gate", [SMALL_TABLE_CELLS, 0])
