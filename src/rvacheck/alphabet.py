@@ -19,9 +19,10 @@ witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from .record import Record, _set
 
 STAR = "*"
 BLANK = "#"
@@ -30,8 +31,7 @@ PARALLEL = "parallel"
 SEQUENTIAL = "sequential"
 
 
-@dataclass(frozen=True)
-class AlphabetSpec:
+class AlphabetSpec(Record):
     """Shape and indexing of the letters an automaton reads.
 
     ``fixed`` holds the component indices replaced by ``#``.  For
@@ -40,24 +40,25 @@ class AlphabetSpec:
     fix component ``dim - 1`` and gains ``#`` as an extra letter.
     """
 
-    base: int
-    dim: int
-    kind: str = PARALLEL
-    fixed: frozenset = field(default_factory=frozenset)
+    _fields = ("base", "dim", "kind", "fixed")
+    __slots__ = (*_fields, "_num_letters")
 
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(self, base, dim, kind=PARALLEL, fixed=frozenset()):
+        if base < 2:
             raise ValueError("base must be at least 2")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.kind not in (PARALLEL, SEQUENTIAL):
-            raise ValueError(f"unknown encoding kind {self.kind!r}")
-        if not isinstance(self.fixed, frozenset):
-            object.__setattr__(self, "fixed", frozenset(self.fixed))
-        if any(not (0 <= f < self.dim) for f in self.fixed):
+        if kind not in (PARALLEL, SEQUENTIAL):
+            raise ValueError(f"unknown encoding kind {kind!r}")
+        fixed = frozenset(fixed)
+        if any(not (0 <= f < dim) for f in fixed):
             raise ValueError("fixed component index out of range")
-        if self.kind == SEQUENTIAL and self.fixed and self.fixed != {self.dim - 1}:
+        if kind == SEQUENTIAL and fixed and fixed != {dim - 1}:
             raise ValueError("sequential alphabets may only fix component dim-1")
+        _set(self, "base", base)
+        _set(self, "dim", dim)
+        _set(self, "kind", kind)
+        _set(self, "fixed", fixed)
 
     @property
     def is_parallel(self):
@@ -74,10 +75,21 @@ class AlphabetSpec:
 
     @property
     def num_letters(self):
-        """Total letter count, separator included."""
+        """Total letter count, separator included.
+
+        Counted on first read, not built: a parsed header may declare
+        ``b^d`` too large to count, which ``aut_io`` refuses unread.
+        """
+        try:
+            return self._num_letters
+        except AttributeError:
+            pass
         if self.is_parallel:
-            return self.base ** (self.dim - len(self.fixed)) + 1
-        return self.base + len(self.fixed) + 1
+            count = self.base ** (self.dim - len(self.fixed)) + 1
+        else:
+            count = self.base + len(self.fixed) + 1
+        _set(self, "_num_letters", count)
+        return count
 
     @property
     def star_index(self):

@@ -16,7 +16,6 @@ every operation here is a pure read and results are fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 
@@ -150,7 +149,6 @@ class Automaton:
         )
 
 
-@dataclass
 class SccInfo:
     """Strongly connected components with acceptance classification.
 
@@ -161,11 +159,14 @@ class SccInfo:
     wholly inside or wholly outside the accepting set.
     """
 
-    scc_of: list
-    components: list
-    recurrent: list
-    accepting: list
-    weak: bool
+    __slots__ = ("scc_of", "components", "recurrent", "accepting", "weak")
+
+    def __init__(self, scc_of, components, recurrent, accepting, weak):
+        self.scc_of = scc_of
+        self.components = components
+        self.recurrent = recurrent
+        self.accepting = accepting
+        self.weak = weak
 
 
 def strong_components(succ):

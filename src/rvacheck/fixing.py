@@ -8,16 +8,14 @@ words whose component ``f`` is constantly ``z``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .alphabet import BLANK, AlphabetSpec, PARALLEL, SEQUENTIAL
 from .automaton import Automaton
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class FixedAutomaton:
+class FixedAutomaton(Record):
     """A fixing and the numbering of its source's states in it.
 
     A parallel fixing keeps the state set (``stride`` 1); a sequential
@@ -25,8 +23,11 @@ class FixedAutomaton:
     ``state(q, i)`` is source state ``q`` at digit class ``i``.
     """
 
-    automaton: Automaton
-    stride: int = 1
+    __slots__ = _fields = ("automaton", "stride")
+
+    def __init__(self, automaton, stride=1):
+        _set(self, "automaton", automaton)
+        _set(self, "stride", stride)
 
     def state(self, q, i=0):
         return q * self.stride + i

@@ -47,7 +47,6 @@ without building the product of two automata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -61,6 +60,7 @@ from .automaton import (
     strong_components,
     trim_accessible,
 )
+from .record import Record, _set
 
 
 def normalized_colors(aut: Automaton, info: SccInfo | None = None):
@@ -254,19 +254,19 @@ def refine_partition(table, labels):
     return block
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """Language-preserving map onto the minimal quotient: ``mapping``
     is an int64 array, -1 where :func:`minimal_form` finds a state
     unreachable."""
 
-    source: Automaton
-    target: Automaton
-    mapping: np.ndarray
+    __slots__ = _fields = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        if len(self.mapping) != self.source.n:
+    def __init__(self, source, target, mapping):
+        if len(mapping) != source.n:
             raise ValueError("morphism must map every source state")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "mapping", mapping)
 
 
 def minimize_weak(aut: Automaton, colors=None) -> Morphism:
@@ -386,16 +386,14 @@ def minimal_form(aut: Automaton):
     return Morphism(aut, morphism.target, mapping)
 
 
-@dataclass(frozen=True)
-class EquivalenceTable:
+class EquivalenceTable(Record):
     """Constant-time cross-automaton state-language equality queries.
 
     ``classes[i]`` is an integer array: the class of each state of the
     ``i``-th automaton.
     """
 
-    automata: tuple
-    classes: tuple
+    __slots__ = _fields = ("automata", "classes")
 
     def same_language(self, i, q, j, p):
         return bool(self.classes[i][q] == self.classes[j][p])

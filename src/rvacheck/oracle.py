@@ -53,7 +53,6 @@ stays as the product-graph reference for :func:`distinguishing_word`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +61,7 @@ from .aut_io import MAX_TABLE_CELLS, check_table_budget
 from .automaton import Automaton, sccs, strong_components, trim_accessible
 from .fixing import dual_fixings
 from .minimize import _shortest_path, distinguishing_word
+from .record import Record
 from .verdict import NotWeak, Verdict
 from .words import (
     LassoWord,
@@ -197,31 +197,28 @@ def distinguishing_lasso(a: Automaton, q: int, b: Automaton, p: int):
 # the saturation oracle
 
 
-@dataclass(frozen=True)
-class BadShapeWord:
+class BadShapeWord(Record):
     """An accepted word whose separator pattern is not a valid encoding."""
 
-    word: LassoWord
-    alphabet: AlphabetSpec
+    __slots__ = _fields = ("word", "alphabet")
     kind = "shape-violation"
 
     def to_dict(self):
         return {"kind": self.kind, "word": format_lasso(self.word, self.alphabet)}
 
 
-@dataclass(frozen=True)
-class CounterexamplePair:
+class CounterexamplePair(Record):
     """Two encodings of the same vector with different acceptance.
 
     ``signed`` reads both words as sign-extended (b-complement)
     encodings, the semantics of the complement check.
     """
 
-    accepted: LassoWord
-    rejected: LassoWord
-    alphabet: AlphabetSpec
-    signed: bool = False
+    __slots__ = _fields = ("accepted", "rejected", "alphabet", "signed")
     kind = "equal-value-pair"
+
+    def __init__(self, accepted, rejected, alphabet, signed=False):
+        super().__init__(accepted, rejected, alphabet, signed)
 
     def values(self):
         return value_real(lasso_to_pair(self.accepted), self.alphabet, self.signed)

@@ -2,32 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from .record import Record, _set
 
 
-class Witness:
+class Witness(Record):
     """Base of the failure witnesses below."""
+
+    __slots__ = ()
 
     def to_dict(self):
         """``kind``, then the fields in order; letters stay tuples, which
         ``json`` writes as arrays."""
-        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self._fields}}
 
 
-@dataclass(frozen=True)
 class NotWeak(Witness):
+    __slots__ = ()
     kind = "not-weak"
 
 
-@dataclass(frozen=True)
 class NotShape(Witness):
     """Some accepted word has a missing, repeated or misplaced separator."""
 
-    state: int
+    __slots__ = _fields = ("state",)
     kind = "not-shape"
 
 
-@dataclass(frozen=True)
 class ZeroLoopBroken(Witness):
     """Reading the all-zero letter moves the (minimal) initial state.
 
@@ -35,52 +35,54 @@ class ZeroLoopBroken(Witness):
     where the offending condition is likewise about the initial loop.
     """
 
-    state: int
+    __slots__ = _fields = ("state",)
     kind = "zero-loop-broken"
 
 
-@dataclass(frozen=True)
 class PairMismatch(Witness):
     """Dual digit tails diverge: bumping component ``component`` of
     ``letter`` at ``state`` changes the residual language."""
 
-    component: int
-    state: int
-    letter: object
-    bumped_letter: object
+    __slots__ = _fields = ("component", "state", "letter", "bumped_letter")
     kind = "pair-mismatch"
 
 
-@dataclass(frozen=True)
 class ComplementPrefix(Witness):
     """A word not starting with a sign letter is accepted."""
 
-    letter: object
+    __slots__ = _fields = ("letter",)
     kind = "complement-prefix"
 
 
-@dataclass(frozen=True)
 class ComplementInitialLanguage(Witness):
     """The two all-sign fixings of some component disagree from the root."""
 
-    component: int
+    __slots__ = _fields = ("component",)
     kind = "complement-initial-language"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Yes/no answer; a failing answer always carries a witness."""
+class Verdict(Record):
+    """Yes/no answer; a failing answer always carries a witness.
 
-    answer: bool
-    witness: object = None
-    detail: str | None = None
-    minimized: object = field(default=None, compare=False, repr=False)
+    ``minimized`` holds the minimal form the check read; equality, hash
+    and repr leave it out.
+    """
 
-    def __post_init__(self):
-        if self.answer and self.witness is not None:
+    _fields = ("answer", "witness", "detail")
+    __slots__ = (*_fields, "minimized")
+
+    def __init__(self, answer, witness=None, detail=None, minimized=None):
+        if answer and witness is not None:
             raise ValueError("positive verdicts carry no witness")
-        if not self.answer and self.witness is None:
+        if not answer and witness is None:
             raise ValueError("negative verdicts need a witness")
+        _set(self, "answer", answer)
+        _set(self, "witness", witness)
+        _set(self, "detail", detail)
+        _set(self, "minimized", minimized)
+
+    def __reduce__(self):
+        return Verdict, (*self._values(), self.minimized)
 
     def __bool__(self):
         return self.answer

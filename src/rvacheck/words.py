@@ -13,15 +13,14 @@ everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .alphabet import AlphabetSpec, BLANK, STAR
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class PairWord:
+class PairWord(Record):
     """An ultimately periodic word split into digits and separator slots.
 
     ``prefix`` and ``period`` hold the digit symbols only (scalars for
@@ -30,23 +29,19 @@ class PairWord:
     the word finite.
     """
 
-    prefix: tuple
-    period: tuple
-    stars: frozenset = field(default_factory=frozenset)
+    __slots__ = _fields = ("prefix", "period", "stars")
 
-    def __post_init__(self):
-        if not isinstance(self.prefix, tuple):
-            object.__setattr__(self, "prefix", tuple(self.prefix))
-        if not isinstance(self.period, tuple):
-            object.__setattr__(self, "period", tuple(self.period))
-        if not isinstance(self.stars, frozenset):
-            object.__setattr__(self, "stars", frozenset(self.stars))
-        if any(s < 0 for s in self.stars):
+    def __init__(self, prefix, period, stars=frozenset()):
+        prefix, period, stars = tuple(prefix), tuple(period), frozenset(stars)
+        if any(s < 0 for s in stars):
             raise ValueError("separator positions must be non-negative")
-        if not self.period:
-            total = len(self.prefix) + len(self.stars)
-            if any(s >= total for s in self.stars):
+        if not period:
+            total = len(prefix) + len(stars)
+            if any(s >= total for s in stars):
                 raise ValueError("separator position beyond the end of a finite word")
+        _set(self, "prefix", prefix)
+        _set(self, "period", period)
+        _set(self, "stars", stars)
 
     @property
     def star_position(self):
@@ -63,20 +58,17 @@ class PairWord:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
 
-@dataclass(frozen=True)
-class LassoWord:
+class LassoWord(Record):
     """An ultimately periodic word of letters, separators included."""
 
-    prefix: tuple
-    period: tuple
+    __slots__ = _fields = ("prefix", "period")
 
-    def __post_init__(self):
-        if not isinstance(self.prefix, tuple):
-            object.__setattr__(self, "prefix", tuple(self.prefix))
-        if not isinstance(self.period, tuple):
-            object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
+    def __init__(self, prefix, period):
+        prefix, period = tuple(prefix), tuple(period)
+        if not period:
             raise ValueError("lasso period must be nonempty")
+        _set(self, "prefix", prefix)
+        _set(self, "period", period)
 
 
 def value_natural(digits, base):
