@@ -155,8 +155,9 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
     is_sign = np.append(spec.sign_mask(), False)  # the separator is no sign letter
     signs = np.flatnonzero(is_sign)
     roots = m.table[m.initial, signs]
+    sink = dead_sink(m)
 
-    shape = check_minimal_shape(m, roots.tolist())
+    shape = check_minimal_shape(m, roots.tolist(), sink)
     if not shape:
         return shape
 
@@ -165,7 +166,7 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
         return Verdict(False, ZeroLoopBroken(int(roots[broken.argmax()])), minimized=m)
 
     others = np.flatnonzero(~is_sign)
-    live = m.table[m.initial, others] != dead_sink(m)
+    live = m.table[m.initial, others] != sink
     if live.any():
         letter = spec.letter_at(int(others[live.argmax()]))
         return Verdict(False, ComplementPrefix(letter), minimized=m)

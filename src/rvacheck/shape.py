@@ -66,13 +66,14 @@ def shape_states(aut: Automaton, roots):
     return reachable(codes.reshape(-1, star + 1), roots)
 
 
-def check_minimal_shape(m: Automaton, roots) -> Verdict:
+def check_minimal_shape(m: Automaton, roots, sink=None) -> Verdict:
     """Does the minimal weak automaton ``m`` accept only encoding-shaped words?
 
     The words are read from the ``roots``, which start digit class 0:
     the initial state, or for sign-extended words the sign-letter
     successors of the initial state.  The digits per vector are
-    ``m.alphabet.seq_dim``.
+    ``m.alphabet.seq_dim``.  ``sink`` is :func:`dead_sink` of ``m``,
+    computed here when not given.
 
     Required: every separator successor of a fractional state or of a
     misaligned modular state is the dead sink, and no accepting state is
@@ -85,7 +86,8 @@ def check_minimal_shape(m: Automaton, roots) -> Verdict:
     """
     n, d = m.n, m.alphabet.seq_dim
     codes = shape_states(m, roots).tolist()
-    sink, seps = dead_sink(m), m.table[:, m.alphabet.star_index].tolist()
+    sink = dead_sink(m) if sink is None else sink
+    seps = m.table[:, m.alphabet.star_index].tolist()
     # misaligned modular and fractional states whose separator leads somewhere
     live = [c % n for c in codes if c >= n and seps[c % n] != sink]
     if live:
