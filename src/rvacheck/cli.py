@@ -235,7 +235,7 @@ def build_parser():
         "oracle", parents=[common, loads], help="word-level saturation search"
     )
     p.add_argument(
-        "--bound", type=int, default=None, help="cap on counterexample prefix length"
+        "--bound", type=int, default=None, help="search product nodes at depth below BOUND only"
     )
     p.set_defaults(func=cmd_oracle)
     return parser

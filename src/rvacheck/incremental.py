@@ -21,7 +21,7 @@ def incremental_rounds(table, block, num, code):
     """The rounds of :func:`rvacheck.minimize._refinement_rounds` from the
     one that ranked ``code`` on, given ``block``, the ``num`` blocks of
     the round before."""
-    n, width = table.shape
+    n = len(table)
     # transitions as target * n + source: arcs[into[t]:into[t+1]] % n lead into t
     arcs = np.sort((table * n + np.arange(n)[:, None]).ravel())
     into = np.concatenate(([0], np.cumsum(np.bincount(table.ravel(), minlength=n))))
@@ -88,8 +88,6 @@ def incremental_rounds(table, block, num, code):
         touched = led[slot[led] == np.arange(len(led))]
         if not len(touched):
             return
-        rank, _ = _signature_ranks(
-            block[touched], num, num, lambda letter: block[table[touched, letter]], width
-        )
+        rank, _ = _signature_ranks(block[touched], num, num, block[table[touched]])
         sort = np.argsort(rank)
         touched, rank = touched[sort], rank[sort]

@@ -167,22 +167,23 @@ def _rank(codes, span):
     return np.unique(codes, return_inverse=True)[1].astype(np.int64, copy=False)
 
 
-def _signature_ranks(code, distinct, num, column, width):
-    """Dense ranks of the signatures ``(code, column(0), ..., column(width-1))``.
+def _signature_ranks(code, distinct, num, cols):
+    """Dense ranks of the signatures ``(code, *row)`` of ``cols``' rows.
 
-    ``code`` holds ``distinct`` values and every column values below
-    ``num``.  The signature is folded into integer codes a few letters
-    at a time, as mixed-radix numbers, and the codes are re-ranked after
-    each fold, so ranks keep the lexicographic order of the signatures.
-    A fold takes as many letters as keep the codes in the range
-    :func:`_rank` handles in linear time; once ``num`` alone exceeds
-    that range, it takes as many as fit in 62 bits, for one sort.
-    Returns the ranks and their count.
+    ``code`` holds ``distinct`` values and the ``m x k`` int64 array
+    ``cols`` values below ``num``.  The signature is folded into integer
+    codes a few columns at a time, as mixed-radix numbers, and the codes
+    are re-ranked after each fold, so ranks keep the lexicographic order
+    of the signatures and are grouped by ``code``.  A fold takes as many
+    columns as keep the codes in the range :func:`_rank` handles in
+    linear time; once ``num`` alone exceeds that range, it takes as many
+    as fit in 62 bits, for one sort.  Returns the ranks and their count.
     """
     dense = 2 * len(code) + 64  # the range _rank ranks in linear time
+    width = cols.shape[1]
     i = 0
     while i < width:
-        # fold letters i..j-1: as many as keep the codes in a range
+        # fold columns i..j-1: as many as keep the codes in a range
         # that bincount can rank, else as many as fit a sort key
         cap = dense if distinct * num <= dense else _PACK_LIMIT
         span, j = distinct * num, i + 1
@@ -191,7 +192,7 @@ def _signature_ranks(code, distinct, num, column, width):
             j += 1
         packed = code
         for letter in range(i, j):
-            packed = packed * num + column(letter)
+            packed = packed * num + cols[:, letter]
         code = _rank(packed, span)
         distinct = int(code.max()) + 1
         i = j
@@ -219,7 +220,7 @@ def _refinement_rounds(table, labels):
     there were before them and as there are states without a block of
     their own; :func:`rvacheck.incremental.incremental_rounds` goes on.
     """
-    n, width = table.shape
+    n = len(table)
     labels = np.asarray(labels, dtype=np.int64)
     low = labels.min()
     block = _rank(labels - low, int(labels.max() - low) + 1)
@@ -227,9 +228,7 @@ def _refinement_rounds(table, labels):
     every, previous, prior = slice(None), block, num  # round 0 changes no id
     while True:
         yield block, every, previous
-        code, distinct = _signature_ranks(
-            block, num, num, lambda letter: block[table[:, letter]], width
-        )
+        code, distinct = _signature_ranks(block, num, num, block[table])
         if distinct == num:
             return
         slow = (distinct - prior) * _FEW <= min(prior, n - distinct)
@@ -336,10 +335,9 @@ def _merge_equal_rows(aut: Automaton):
     label = np.zeros(aut.n, dtype=np.int64)
     label[list(aut.accepting)] = 1
     state_of = np.arange(aut.n)
-    width = aut.alphabet.num_letters
     while True:
         n = len(table)
-        block, num = _signature_ranks(label, 2, n, lambda i: table[:, i], width)
+        block, num = _signature_ranks(label, 2, n, table)
         if 4 * num > 3 * n:
             break
         rep, table = _quotient(table, block, num)

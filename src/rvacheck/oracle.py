@@ -83,7 +83,7 @@ def _bad_lasso(a: Automaton, b: Automaton, start, moves, bad, depth_cap=None):
 
     ``start`` is the node ``(x, y, c)``, and ``moves`` and ``bad`` are
     the control's move table and flags (see the module docstring).
-    ``depth_cap`` stops expanding nodes that deep.
+    Only nodes at breadth-first depth below ``depth_cap`` are searched.
     """
     n_b, size = b.n, len(moves)
     step_a = [[t * n_b * size for t in row] for row in a.delta]
@@ -361,13 +361,15 @@ def saturation_oracle(aut: Automaton, sample_bound=None) -> Verdict:
 
     Searches, in a fixed deterministic order, for an accepted word with
     an invalid separator pattern, a zero-padding discrepancy, and a
-    dual-tail discrepancy per component.  ``sample_bound`` caps the
-    length of counterexample prefixes considered; with the default
-    (None) the search is exhaustive over the product graphs, so a "yes"
-    means no counterexample of any prefix length exists in these
-    families.  Weakness, which the searches rely on, is decided on the
-    reachable part, as the checks decide it.
+    dual-tail discrepancy per component.  A ``sample_bound`` of ``k >= 0``
+    searches only the product nodes at breadth-first depth below ``k``;
+    with the default (None) the search is exhaustive over the product
+    graphs, so a "yes" means no counterexample of any prefix length
+    exists in these families.  Weakness, which the searches rely on, is
+    decided on the reachable part, as the checks decide it.
     """
+    if sample_bound is not None and sample_bound < 0:
+        raise ValueError(f"the search bound must not be negative, got {sample_bound}")
     spec = aut.alphabet
     if spec.fixed:
         raise ValueError("the saturation oracle reads unfixed alphabets")
@@ -393,7 +395,7 @@ def saturation_oracle(aut: Automaton, sample_bound=None) -> Verdict:
     detail = (
         "no counterexample"
         if sample_bound is None
-        else f"no counterexample with prefix length <= {sample_bound}"
+        else f"no counterexample among product nodes at search depth below {sample_bound}"
     )
     return Verdict(True, detail=detail)
 

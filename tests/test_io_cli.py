@@ -713,6 +713,26 @@ class TestCli:
         proc = run_cli("oracle", str(full), "--bound", "6")
         assert proc.returncode == 0
 
+    def test_oracle_bound_is_search_depth(self, tmp_path, capsys):
+        # one accepting state looping on every letter: "/ 0" breaks the
+        # shape at prefix length 0, yet lies at product depth 0, which
+        # --bound 0 does not search and --bound 1 does
+        spec = AlphabetSpec(2, 1)
+        path = tmp_path / "loop.rva"
+        path.write_text(serialize_automaton(Automaton(spec, 1, 0, {0}, [[0, 0, 0]])))
+        assert main(["oracle", str(path), "--bound", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "yes (bounded): no counterexample among product nodes"
+            " at search depth below 0\n"
+        )
+        for bound in ([], ["--bound", "1"]):
+            assert main(["oracle", str(path), *bound]) == 1
+            assert capsys.readouterr().out == "no: shape-violation\n  word: / 0\n"
+        assert main(["oracle", str(FIG2_PATH), "--bound", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the search bound must not be negative, got -1\n"
+        )
+
     def test_classify_reports_shape(self):
         proc = run_cli("classify", str(FIG2_PATH), "--json")
         assert proc.returncode == 0

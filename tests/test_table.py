@@ -264,6 +264,37 @@ def test_joint_classes_equal_a_list_built_union(aut):
         assert [c.tolist() for c in classes] == union_classes_rows(automata)
 
 
+@pytest.mark.parametrize(
+    "m, k, num, distinct, bincount",
+    [
+        (4000, 24, 3, 2, True),  # tall, few values: folds in the dense cap
+        (3000, 12, 2990, 5, False),  # tall, num near m: 62-bit folds
+        (6, 80, 5, 3, True),  # wide and short
+        (8, 64, 40, 8, False),  # wide and short, num past the dense cap
+        (1, 9, 4, 1, True),  # one row
+    ],
+)
+def test_signature_ranks_are_lexicographic_ranks(monkeypatch, m, k, num, distinct, bincount):
+    # dense ranks in the order of (code, *row), so grouped by the leading
+    # code: incremental_rounds reads a block's pieces as consecutive ranks
+    ranked, rank = set(), minimize._rank
+
+    def spy(codes, span):
+        ranked.add(span <= 2 * len(codes) + 64)  # by bincount, else by a sort
+        return rank(codes, span)
+
+    monkeypatch.setattr(minimize, "_rank", spy)
+    rng = np.random.default_rng(m * k + num)
+    pool = rng.integers(0, num, (max(1, m // 3), k))  # repeated rows
+    cols = pool[rng.integers(0, len(pool), m)]
+    code = rng.integers(0, distinct, m)
+    ranks, count = minimize._signature_ranks(code, distinct, num, cols)
+    expected = np.unique(np.column_stack((code, cols)), axis=0, return_inverse=True)[1]
+    assert ranks.tolist() == expected.ravel().tolist()
+    assert count == int(expected.max()) + 1
+    assert ranked == {bincount}
+
+
 def assert_moore_rounds(rows, labels):
     """Every round of the refinement has Moore's partition, under dense
     ids; the ids of large tables are not Moore's ranks, so partitions
