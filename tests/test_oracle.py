@@ -374,7 +374,7 @@ class TestSaturationOracle:
 
     def test_bound_caps_prefix_search(self, fig2):
         capped = saturation_oracle(fig2, sample_bound=0)
-        # the known counterexample needs a prefix; with depth 0 nothing fits
+        # a bound of 0 searches no product node, so nothing is found
         assert capped.answer and "0" in capped.detail
 
     def test_matches_literal_enumeration(self):
