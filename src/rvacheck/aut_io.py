@@ -30,14 +30,18 @@ single spaces, decimal states, letters of one-digit components, no
 fixed components) is read in bulk, by numpy over chunks of whole lines,
 straight into the ``n x letters`` array.  Smaller tables, any other
 body and any body with an error are read by the line loop into rows;
-it names every error with its line.  The writer formats its text in
-chunks of lines, so a table is never held as text all at once.
+it names every error with its line.  The writer mirrors the bulk reader:
+numpy lays out a chunk of lines as one byte buffer, so a table is never
+held as text all at once, and a table stored as rows is converted to an
+array one chunk at a time.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -389,13 +393,37 @@ def _line_table(lines, first, spec, n, complete_with_sink):
 _WRITE_CELLS = 1 << 16
 
 
+@lru_cache(maxsize=16)  # a corpus run writes 8 alphabets; a wide one takes MBs
+def _arrows(spec):
+    """The bytes of ``" <letter> -> "`` for every letter of ``spec``, one
+    row per letter index, padded on the right with 0 bytes."""
+    texts = [f" {spec.format_letter(a)} -> ".encode() for a in spec.letters()]
+    size = max(map(len, texts))
+    padded = b"".join(text.ljust(size, b"\0") for text in texts)
+    return np.frombuffer(padded, np.uint8).reshape(len(texts), size)
+
+
+def _put_digits(out, values):
+    """Write the ASCII digits of ``values`` into the columns of ``out``,
+    right-aligned, with 0 bytes before each number."""
+    last = out.shape[1] - 1
+    for j in range(last, -1, -1):
+        quotient = values // 10
+        out[:, j] = values - quotient * 10 + 48
+        if j < last:
+            out[:, j][values == 0] = 0
+        values = quotient
+
+
 def _text_chunks(aut: Automaton):
     """The file text of ``aut`` in chunks of ``_WRITE_CELLS`` transition
     lines, the header leading the first.
 
-    Each chunk is formatted from the rows the automaton holds or, if it
-    holds the array, from a slice of it, so writing derives neither form
-    whole.  A text of one chunk is built in one piece, not joined again.
+    A chunk is one byte buffer with a row per line: the source digits,
+    the letter's arrow bytes and the destination digits, each padded
+    with 0 bytes, and ``\n``; one compress drops the 0 bytes.  Its cells
+    are a slice of the array or, from an automaton that stores rows,
+    those rows converted, so writing derives neither form whole.
     """
     spec = aut.alphabet
     lines = [
@@ -410,23 +438,26 @@ def _text_chunks(aut: Automaton):
     lines.append(f"initial: {aut.initial}")
     lines.append("accepting: " + " ".join(str(q) for q in sorted(aut.accepting)))
     lines.append("transitions:")
-    chunk = ["\n".join(lines) + "\n"]
-    width = spec.num_letters
-    arrows = [f" {spec.format_letter(spec.letter_at(i))} -> " for i in range(width)]
+    head = "\n".join(lines) + "\n"
+    arrows = _arrows(spec)
+    width, size = arrows.shape
+    places = len(str(aut.n - 1))
     step = max(1, _WRITE_CELLS // width)
     stored = vars(aut).get("delta")  # None when only the array is stored
     for lo in range(0, aut.n, step):
+        m = min(step, aut.n - lo)
         if stored is not None:
-            rows = stored[lo : lo + step]
+            cells = np.fromiter(chain.from_iterable(stored[lo : lo + m]), np.int64, m * width)
         else:
-            rows = aut.table[lo : lo + step].tolist()
-        chunk.extend(
-            f"{q}{arrow}{t}\n"
-            for q, row in enumerate(rows, start=lo)
-            for arrow, t in zip(arrows, row)
-        )
-        yield "".join(chunk)
-        chunk = []
+            cells = aut.table[lo : lo + m].ravel()
+        line = np.empty((m, width, 2 * places + size + 1), np.uint8)
+        _put_digits(line[:, 0, :places], np.arange(lo, lo + m))
+        line[:, 1:, :places] = line[:, :1, :places]
+        line[:, :, places : places + size] = arrows
+        _put_digits(line[:, :, -places - 1 : -1].reshape(-1, places), cells)
+        line[:, :, -1] = 10
+        yield head + line[line != 0].tobytes().decode("ascii")
+        head = ""
 
 
 def serialize_automaton(aut: Automaton) -> str:

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from rvacheck.alphabet import AlphabetSpec
+from rvacheck.aut_io import serialize_automaton
 from rvacheck.check import check_rva_parallel
 from rvacheck.fixing import FixedAutomaton
 from rvacheck.minimize import EquivalenceTable, Morphism
-from rvacheck.oracle import BadShapeWord, CounterexamplePair, expand_witness
+from rvacheck.oracle import BadShapeWord, CounterexamplePair, expand_witness, gen_residue_rva
 from rvacheck.verdict import (
     ComplementInitialLanguage,
     ComplementPrefix,
@@ -154,3 +155,20 @@ def test_cli_start_up_generates_no_code():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
     assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
+
+
+def test_a_yes_check_loads_no_witness_code(tmp_path):
+    # aut_io, the writer included, is on every check's import path; a
+    # "yes" needs no witness, so neither the oracle and the word layer
+    # nor exact values, and this table never switches to incremental rounds
+    path = tmp_path / "residue.rva"
+    path.write_text(serialize_automaton(gen_residue_rva(2003)))
+    unwanted = ("rvacheck.oracle", "rvacheck.words", "fractions", "rvacheck.incremental")
+    probe = (
+        "import sys\n"
+        "from rvacheck.cli import main\n"
+        f"codes = [main(['check', {str(path)!r}, '--mode', m]) for m in ('parallel', 'dim1')]\n"
+        f"print(codes, [m for m in {unwanted!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
