@@ -24,6 +24,12 @@ at the start of a line or after the destination state
 (``0 #,1 -> 2  # note``).  Parsing validates totality unless a missing
 transition is allowed to fall into a fresh rejecting sink.
 
+A file (:func:`read_automaton`) is read one line at a time up to its
+first line that is neither blank nor a comment, each line held to
+``MAX_HEADER_LINE`` (65,536) characters, its line break included: a
+longer line, or a first such line other than the header, refuses the
+file before the rest is read.
+
 A table of at least ``SMALL_TABLE_CELLS`` cells whose body is in the
 form :func:`serialize_automaton` writes (ASCII, ``\n`` line ends,
 single spaces, decimal states, letters of one-digit components, no
@@ -91,6 +97,9 @@ class AutomatonFormatError(ValueError):
 # every line break ``str.splitlines`` knows, so header line numbers match it
 _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
+# characters a line before the header may hold
+MAX_HEADER_LINE = 1 << 16
+
 # characters of the body the bulk reader converts to bytes at a time
 _BULK_CHUNK = 1 << 18
 
@@ -103,6 +112,23 @@ def _lines(text):
         pos = brk.end()
     if pos < len(text):
         yield text[pos:], len(text)
+
+
+def read_automaton(handle, complete_with_sink: bool = False) -> Automaton:
+    """Read an automaton from an open text file (see the module docstring)."""
+    head, found = "", None
+    while found is None:
+        line = handle.readline(MAX_HEADER_LINE + 1)
+        if len(line) > MAX_HEADER_LINE:
+            where = sum(1 for _ in _lines(head)) + 1
+            raise AutomatonFormatError(f"line over {MAX_HEADER_LINE} characters", where)
+        if not line:
+            break
+        head += line
+        found = next(filter(None, (raw.split("#", 1)[0].strip() for raw, _ in _lines(line))), None)
+    if found not in (None, FORMAT_HEADER):
+        return parse_automaton(head)  # refuses it, naming the line
+    return parse_automaton(head + handle.read(), complete_with_sink)
 
 
 def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:

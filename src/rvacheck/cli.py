@@ -13,7 +13,7 @@ import sys
 import time
 
 from .alphabet import PARALLEL, SEQUENTIAL
-from .aut_io import parse_automaton, serialize_automaton, write_automaton
+from .aut_io import read_automaton, serialize_automaton, write_automaton
 from .check import (
     check_rva_complement_parallel,
     check_rva_dim1,
@@ -33,8 +33,7 @@ CHECKS = {
 
 def _load(args):
     with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_automaton(text, complete_with_sink=args.complete_with_sink)
+        return read_automaton(handle, complete_with_sink=args.complete_with_sink)
 
 
 def _emit(args, payload, human_lines):
@@ -246,8 +245,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # unreadable or unwritable files, bad input
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:  # bad files or input, input too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -36,6 +36,18 @@ checks that first, on the trimmed input.  The breadth-first search that
 numbers the nodes keeps each node's parent and move, which gives a
 shortest path to the first bad recurrent node in discovery order.
 
+That search does not expand a node once its two runs can no longer
+disagree: every state either run can still reach has one acceptance,
+the same for both.  A state's fate (:func:`_fates`) says whether an
+accepting and whether a rejecting state is reachable from it, on every
+letter while the control lets the run read the separator, else on the
+digits.  No result changes: a bad node is never skipped, since its two
+acceptances differ; the skipped nodes are closed under successors, so
+no kept node is found through one; so discovery order, parents,
+breadth-first levels (hence ``depth_cap``) and the first bad recurrent
+node stay the same.  :func:`saturation_oracle` computes the fates once
+for its searches; a search called alone computes them itself.
+
 Witness expansion is not part of that independent ground truth.  Every
 lasso inside a pair, and the one behind a complement prefix, is read
 off the minimizer's refinement
@@ -76,20 +88,67 @@ from .words import (
 # the product engine
 
 
-def _bad_lasso(a: Automaton, b: Automaton, start, moves, bad, depth_cap=None):
+def _fates(aut: Automaton, letters):
+    """Two bits per state: 1 if an accepting state is reachable on
+    ``letters`` (the empty word counts), 2 if a rejecting one is."""
+    pred = [[] for _ in range(aut.n)]
+    for q, row in enumerate(aut.delta):
+        for i in letters:
+            pred[row[i]].append(q)
+    fate = [1 if q in aut.accepting else 2 for q in range(aut.n)]
+    for bit in (1, 2):  # until the round for bit 2, only rejecting states have it
+        todo = [q for q, f in enumerate(fate) if f & bit]
+        for q in todo:  # grows while it is read
+            for p in pred[q]:
+                if not fate[p] & bit:
+                    fate[p] |= bit
+                    todo.append(p)
+    return fate
+
+
+def _every_and_digits(aut: Automaton):
+    """The fates of ``aut`` on every letter and on the digit letters alone."""
+    width = aut.alphabet.num_letters
+    return _fates(aut, range(width)), _fates(aut, range(width - 1))
+
+
+def _control_fates(a: Automaton, b: Automaton, moves, fates):
+    """Per run and control state, the run's every-letter fates while it
+    can still read the separator, else its digit fates.  ``fates`` is
+    :func:`_every_and_digits` of ``a``, or None; ``b`` shares it if ``b is a``."""
+    star = a.alphabet.star_index
+    cols = [tuple(zip(*row)) or ((), (), ()) for row in moves]
+    reads = [(star in i) | (star in j) << 1 for i, j, _ in cols]  # bit 1: run a, 2: run b
+    succ = [set(after) for _, _, after in cols]
+    old = None
+    while reads != old:  # a control state reads what its successors read
+        old = reads[:]
+        for c, after in enumerate(succ):
+            for c2 in after:
+                reads[c] |= reads[c2]
+    pairs = [fates or _every_and_digits(a)]
+    pairs.append(pairs[0] if b is a else _every_and_digits(b))
+    return [[every if r >> side & 1 else digits for r in reads]
+            for side, (every, digits) in enumerate(pairs)]
+
+
+def _bad_lasso(a: Automaton, b: Automaton, start, moves, bad, depth_cap=None, fates=None):
     """The moves of a shortest path to the first bad recurrent node in
     discovery order and of a shortest cycle back to it; None when no
     bad component is recurrent.
 
     ``start`` is the node ``(x, y, c)``, and ``moves`` and ``bad`` are
-    the control's move table and flags (see the module docstring).
-    Only nodes at breadth-first depth below ``depth_cap`` are searched.
+    the control's move table and flags, ``fates`` as in
+    :func:`_control_fates`.  Only nodes at breadth-first depth below
+    ``depth_cap`` are searched, and no node ``(x, y, c)`` with
+    ``fate_a[c][x] | fate_b[c][y] != 3`` is expanded: its two runs can
+    no longer disagree, and results stay the same (see the module
+    docstring).
     """
+    fate_a, fate_b = _control_fates(a, b, moves, fates)
     n_b, size = b.n, len(moves)
-    step_a = [[t * n_b * size for t in row] for row in a.delta]
-    step_b = [[t * size for t in row] for row in b.delta]
-    acc_a = [q in a.accepting for q in range(a.n)]
-    acc_b = [q in b.accepting for q in range(b.n)]
+    delta_a, delta_b = a.delta, b.delta
+    acc_a, acc_b = a.accepting, b.accepting
     x, y, c = start
     code = (x * n_b + y) * size + c
     ids = {code: 0}
@@ -106,11 +165,13 @@ def _bad_lasso(a: Automaton, b: Automaton, start, moves, bad, depth_cap=None):
             break
         xy, c = divmod(code, size)
         x, y = divmod(xy, n_b)
-        if bad[c] and acc_a[x] != acc_b[y]:
+        if fate_a[c][x] | fate_b[c][y] != 3:
+            continue
+        if bad[c] and (x in acc_a) != (y in acc_b):
             bad_codes.append(code)
-        ra, rb = step_a[x], step_b[y]
+        ra, rb = delta_a[x], delta_b[y]
         for move in moves[c]:
-            t = ra[move[0]] + rb[move[1]] + move[2]
+            t = (ra[move[0]] * n_b + rb[move[1]]) * size + move[2]
             if t not in ids:
                 ids[t] = len(order)
                 order.append(t)
@@ -124,10 +185,10 @@ def _bad_lasso(a: Automaton, b: Automaton, start, moves, bad, depth_cap=None):
     for code in bad_codes:
         xy, c = divmod(code, size)
         x, y = divmod(xy, n_b)
-        ra, rb = step_a[x], step_b[y]
+        ra, rb = delta_a[x], delta_b[y]
         row = []
         for move in moves[c]:
-            k = dense.get(ra[move[0]] + rb[move[1]] + move[2])
+            k = dense.get((ra[move[0]] * n_b + rb[move[1]]) * size + move[2])
             if k is not None:
                 row.append((move, k))
         edges.append(row)
@@ -248,7 +309,7 @@ class CounterexamplePair(Record):
         }
 
 
-def shape_violation_word(aut: Automaton, depth_cap=None):
+def shape_violation_word(aut: Automaton, depth_cap=None, fates=None):
     """An accepted lasso whose separators do not form a valid encoding."""
     spec = aut.alphabet
     monitor = _separator_monitor(spec)
@@ -257,7 +318,7 @@ def shape_violation_word(aut: Automaton, depth_cap=None):
     # repeats an invalid pattern (no separator yet, or too many)
     bad = [c // spec.seq_dim != 1 for c in range(len(monitor))]
     nowhere = Automaton(spec, 1, 0, (), [[0] * spec.num_letters])  # never accepts
-    found = _bad_lasso(aut, nowhere, (aut.initial, 0, 0), moves, bad, depth_cap)
+    found = _bad_lasso(aut, nowhere, (aut.initial, 0, 0), moves, bad, depth_cap, fates)
     if found is None:
         return None
     u, v = found
@@ -267,7 +328,7 @@ def shape_violation_word(aut: Automaton, depth_cap=None):
     return word
 
 
-def pad_violation(aut: Automaton, depth_cap=None):
+def pad_violation(aut: Automaton, depth_cap=None, fates=None):
     """A valid encoding whose zero-padded variant is classified differently."""
     spec = aut.alphabet
     d_seq = spec.seq_dim
@@ -279,7 +340,7 @@ def pad_violation(aut: Automaton, depth_cap=None):
     # a move into the invalid state would end the encoding: none is kept
     moves = [[(i, i, t) for i, t in enumerate(row) if t < 2 * d_seq] for row in monitor]
     bad = [c // d_seq == 1 for c in range(len(monitor))]
-    found = _bad_lasso(aut, aut, (aut.initial, padded_start, 0), moves, bad, depth_cap)
+    found = _bad_lasso(aut, aut, (aut.initial, padded_start, 0), moves, bad, depth_cap, fates)
     if found is None:
         return None
     u, v = found
@@ -308,7 +369,7 @@ def _dual_pairs(spec: AlphabetSpec, f: int):
     return flip, forced
 
 
-def dual_violation(aut: Automaton, f: int, depth_cap=None):
+def dual_violation(aut: Automaton, f: int, depth_cap=None, fates=None):
     """An accepted encoding whose dual tail flip at component ``f`` is rejected.
 
     Tracks two runs: both read the same letters until the flip, where
@@ -345,7 +406,7 @@ def dual_violation(aut: Automaton, f: int, depth_cap=None):
                 row += [(i, j, flipped + after[0]) for i, j in forced]
             moves.append(row)
     bad = [phase == 1 and c // d_seq == 1 for phase in (0, 1) for c in range(flipped)]
-    found = _bad_lasso(aut, aut, (aut.initial, aut.initial, 0), moves, bad, depth_cap)
+    found = _bad_lasso(aut, aut, (aut.initial, aut.initial, 0), moves, bad, depth_cap, fates)
     if found is None:
         return None
     u, v = found
@@ -377,15 +438,16 @@ def saturation_oracle(aut: Automaton, sample_bound=None) -> Verdict:
     if not sccs(aut).weak:
         return Verdict(False, NotWeak())
 
-    word = shape_violation_word(aut, sample_bound)
+    fates = _every_and_digits(aut)
+    word = shape_violation_word(aut, sample_bound, fates)
     if word is not None:
         return Verdict(False, BadShapeWord(word, spec))
 
-    pair = pad_violation(aut, sample_bound)
+    pair = pad_violation(aut, sample_bound, fates)
     if pair is None:
         dim = spec.dim
         for f in range(dim):
-            pair = dual_violation(aut, f, sample_bound)
+            pair = dual_violation(aut, f, sample_bound, fates)
             if pair is not None:
                 break
     if pair is not None:

@@ -747,6 +747,69 @@ class TestCli:
         assert "weak: True" in out
 
 
+class EndlessText(io.TextIOBase):
+    """A text file that opens with ``head`` and then never ends; reading
+    it whole, or a line of it without a limit, fails the test."""
+
+    def __init__(self, head=""):
+        self.head = head
+
+    def readline(self, size=-1):
+        assert size >= 0, "a line read without a limit"
+        line, self.head = self.head[:size], self.head[size:]
+        if "\n" in line:
+            line, rest = line.split("\n", 1)
+            line += "\n"
+            self.head = rest + self.head
+        return line or "x" * size
+
+    def read(self, size=-1):
+        raise AssertionError("read past the line before the header")
+
+
+class TestHeaderRead:
+    """A file is refused after its first line that is neither blank nor a
+    comment unless that line is the header, and at any longer line before it."""
+
+    def test_over_cap_line_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "long.rva"
+        path.write_text("# a note\n" + "0" * 40 + "\n")
+        with mock.patch.object(aut_io, "MAX_HEADER_LINE", 16):
+            assert main(["check", str(path), "--mode", "parallel"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line over 16 characters (line 2)\n"
+
+    def test_endless_input_is_refused_after_one_line(self):
+        with pytest.raises(AutomatonFormatError, match="line over"):
+            aut_io.read_automaton(EndlessText("\n# c\n"))
+        with pytest.raises(AutomatonFormatError, match="expected header .* [(]line 3[)]"):
+            aut_io.read_automaton(EndlessText("\n# c\nrva-automaton v2\n"))
+
+    def test_header_after_comment_lines_parses(self, fig2_text):
+        body = fig2_text.split(aut_io.FORMAT_HEADER, 1)[1]
+        for text in (
+            fig2_text,  # comment lines, then the header
+            "\n  \n# note\n" + aut_io.FORMAT_HEADER + "  # the format" + body,
+            "# note\v" + aut_io.FORMAT_HEADER + body,  # a header after a vertical tab
+        ):
+            read = aut_io.read_automaton(io.StringIO(text))
+            assert read.structurally_equal(parse_automaton(fig2_text))
+
+    def test_refusal_names_the_line_as_parsing_does(self, fig2_text):
+        body = fig2_text.split(aut_io.FORMAT_HEADER, 1)[1]
+        for head in ("base: 2\n", "\n# c\n\x0bv1\n", "# a\x1cb\n"):
+            with pytest.raises(AutomatonFormatError) as parsed:
+                parse_automaton(head + body)
+            with pytest.raises(AutomatonFormatError) as read:
+                aut_io.read_automaton(io.StringIO(head + body))
+            assert str(read.value) == str(parsed.value)
+
+    def test_memory_error_exits_2_with_one_line(self, capsys):
+        with mock.patch("rvacheck.cli.read_automaton", side_effect=MemoryError):
+            assert main(["check", str(FIG2_PATH), "--mode", "parallel"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestCliFuzz:
     EDITS = 200
     WORDS = ["0 * / 0", "1 0 * / 1", "0,1 * / 0,0", "* / 1", "0 /", "2 / #"]

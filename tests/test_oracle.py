@@ -19,6 +19,8 @@ from rvacheck.minimize import _shortest_path, minimize_weak
 from rvacheck.oracle import (
     CounterexamplePair,
     _dual_pairs,
+    _every_and_digits,
+    _fates,
     distinguishing_lasso,
     dual_violation,
     expand_witness,
@@ -303,38 +305,139 @@ class TestProductEngine:
                 aut = parallelize_automaton(aut)
         else:
             aut = gen_random_weak(n, base, dim, encoding, seed)
-        spec = aut.alphabet
+        other = gen_random_weak(data.draw(st.integers(1, 8)), base, dim, encoding, seed + 1)
+        assert_searches_match(aut, depth_cap, other, data)
 
-        found = reference_shape_lasso(aut, depth_cap)
-        expected = None if found is None else lasso_of(spec, found)
-        assert shape_violation_word(aut, depth_cap) == expected
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(16, 64),
+        base=st.sampled_from([2, 3]),
+        dim=st.sampled_from([1, 2]),
+        encoding=st.sampled_from([PARALLEL, SEQUENTIAL]),
+        depth_cap=st.none() | st.integers(0, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_searches_match_at_corpus_sizes(self, seed, n, base, dim, encoding, depth_cap, data):
+        """The corpus's shaped automata, where most product nodes can no
+        longer disagree and are not expanded."""
+        aut, other = (
+            gen_random_sequential_shaped(size, base, dim, seed + k)
+            for k, size in enumerate((n, data.draw(st.integers(16, 64))))
+        )
+        if encoding == PARALLEL:
+            aut, other = parallelize_automaton(aut), parallelize_automaton(other)
+        assert_searches_match(aut, depth_cap, other, data)
 
-        found = reference_pad_lasso(aut, depth_cap)
-        pair = pad_violation(aut, depth_cap)
+
+def assert_searches_match(aut, depth_cap, other, data):
+    """Every search on ``aut`` (and ``distinguishing_lasso`` between it
+    and ``other`` from two drawn states) equals the reference."""
+    spec, dim = aut.alphabet, aut.alphabet.dim
+    found = reference_shape_lasso(aut, depth_cap)
+    expected = None if found is None else lasso_of(spec, found)
+    assert shape_violation_word(aut, depth_cap) == expected
+
+    found = reference_pad_lasso(aut, depth_cap)
+    pair = pad_violation(aut, depth_cap)
+    if found is None:
+        assert pair is None
+    else:
+        plain = lasso_of(spec, found)
+        pad = (spec.zero_letter(),) * spec.seq_dim
+        padded = LassoWord(pad + plain.prefix, plain.period)
+        assert {pair.accepted, pair.rejected} == {plain, padded}
+
+    for f in range(dim):
+        found = reference_dual_lasso(aut, f, depth_cap)
+        pair = dual_violation(aut, f, depth_cap)
         if found is None:
             assert pair is None
         else:
-            plain = lasso_of(spec, found)
-            pad = (spec.zero_letter(),) * spec.seq_dim
-            padded = LassoWord(pad + plain.prefix, plain.period)
-            assert {pair.accepted, pair.rejected} == {plain, padded}
+            hi, lo = lasso_of(spec, found, 0), lasso_of(spec, found, 1)
+            assert {pair.accepted, pair.rejected} == {hi, lo}
 
-        for f in range(dim):
-            found = reference_dual_lasso(aut, f, depth_cap)
-            pair = dual_violation(aut, f, depth_cap)
-            if found is None:
-                assert pair is None
-            else:
-                hi, lo = lasso_of(spec, found, 0), lasso_of(spec, found, 1)
-                assert {pair.accepted, pair.rejected} == {hi, lo}
+    q = data.draw(st.integers(0, aut.n - 1))
+    p = data.draw(st.integers(0, other.n - 1))
+    found = reference_distinguishing_lasso(aut, q, other, p)
+    word = None if found is None else lasso_of(spec, found)
+    expected = None if word is None else (word.prefix, word.period)
+    assert distinguishing_lasso(aut, q, other, p) == expected
 
-        other = gen_random_weak(data.draw(st.integers(1, 8)), base, dim, encoding, seed + 1)
-        q = data.draw(st.integers(0, aut.n - 1))
-        p = data.draw(st.integers(0, other.n - 1))
-        found = reference_distinguishing_lasso(aut, q, other, p)
-        word = None if found is None else lasso_of(spec, found)
-        expected = None if word is None else (word.prefix, word.period)
-        assert distinguishing_lasso(aut, q, other, p) == expected
+
+def forward_fates(aut, letters):
+    """Per state, its set-based forward closure on ``letters`` as fate
+    bits: 1 if it holds an accepting state, 2 if a rejecting one."""
+    fates = []
+    for q in range(aut.n):
+        seen, todo = {q}, [q]
+        while todo:
+            row = aut.delta[todo.pop()]
+            for t in {row[i] for i in letters} - seen:
+                seen.add(t)
+                todo.append(t)
+        fates.append(bool(seen & aut.accepting) | bool(seen - aut.accepting) << 1)
+    return fates
+
+
+class TestFates:
+    @given(
+        n=st.integers(1, 12),
+        base=st.sampled_from([2, 3]),
+        dim=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fates_are_the_forward_closure(self, n, base, dim, data):
+        spec = AlphabetSpec(base, dim)
+        width = spec.num_letters
+        rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=width,
+                                           max_size=width), min_size=n, max_size=n))
+        accepting = data.draw(st.sets(st.integers(0, n - 1)))
+        letters = sorted(data.draw(st.sets(st.integers(0, width - 1))))
+        aut = Automaton(spec, n, 0, accepting, rows)
+        assert _fates(aut, letters) == forward_fates(aut, letters)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_searches_agree_with_fates_passed_or_computed(self, seed):
+        for encoding in (SEQUENTIAL, PARALLEL):
+            aut = gen_random_sequential_shaped(12 + 9 * seed, 2 + seed % 2, 1 + seed // 3, seed)
+            if encoding == PARALLEL:
+                aut = parallelize_automaton(aut)
+            fates = _every_and_digits(aut)
+            for cap in (None, 2):
+                assert shape_violation_word(aut, cap, fates) == shape_violation_word(aut, cap)
+                assert pad_violation(aut, cap, fates) == pad_violation(aut, cap)
+                for f in range(aut.alphabet.dim):
+                    assert dual_violation(aut, f, cap, fates) == dual_violation(aut, f, cap)
+
+    @pytest.mark.parametrize(
+        "accepting, rows, pad, dual",
+        [
+            (
+                {3, 4, 5, 6, 7},
+                [[2, 0, 5], [0, 1, 3], [1, 2, 8], [5, 3, 8], [5, 6, 8],
+                 [7, 4, 8], [6, 5, 8], [3, 3, 8], [8, 8, 8]],
+                ("* / 1 0", "0 * / 1 0"),
+                ("1 * / 0 0 0", "0 * / 1 1 1"),
+            ),
+            (
+                {4, 5, 6},
+                [[1, 2, 7], [0, 3, 4], [2, 2, 6], [0, 0, 6], [4, 4, 7],
+                 [4, 5, 7], [5, 4, 7], [7, 7, 7]],
+                ("0 * / 0", "* / 0"),
+                ("0 1 * 0 0 / 0", "0 0 * 1 1 / 1"),
+            ),
+        ],
+    )
+    def test_rejecting_sink_keeps_the_pairs(self, accepting, rows, pad, dual):
+        """Runs that fall into the rejecting sink stop being expanded; the
+        pairs are the ones the search found before it skipped nodes."""
+        aut = Automaton(AlphabetSpec(2, 1, SEQUENTIAL), len(rows), 0, accepting, rows)
+        assert set(_fates(aut, range(3))) == {2, 3}  # the sink and the rest
+        for pair, words in ((pad_violation(aut), pad), (dual_violation(aut, 0), dual)):
+            found = pair.to_dict()
+            assert (found["accepted"], found["rejected"]) == words
 
 
 class TestSaturationOracle:
