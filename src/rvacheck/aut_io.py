@@ -120,8 +120,8 @@ def read_automaton(handle, complete_with_sink: bool = False) -> Automaton:
     while found is None:
         line = handle.readline(MAX_HEADER_LINE + 1)
         if len(line) > MAX_HEADER_LINE:
-            where = sum(1 for _ in _lines(head)) + 1
-            raise AutomatonFormatError(f"line over {MAX_HEADER_LINE} characters", where)
+            message = f"line over {MAX_HEADER_LINE} characters before the header"
+            raise AutomatonFormatError(message, sum(1 for _ in _lines(head)) + 1)
         if not line:
             break
         head += line

@@ -777,7 +777,7 @@ class TestHeaderRead:
         with mock.patch.object(aut_io, "MAX_HEADER_LINE", 16):
             assert main(["check", str(path), "--mode", "parallel"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: line over 16 characters (line 2)\n"
+        assert err == "error: line over 16 characters before the header (line 2)\n"
 
     def test_endless_input_is_refused_after_one_line(self):
         with pytest.raises(AutomatonFormatError, match="line over"):

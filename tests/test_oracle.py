@@ -321,10 +321,8 @@ class TestProductEngine:
     def test_searches_match_at_corpus_sizes(self, seed, n, base, dim, encoding, depth_cap, data):
         """The corpus's shaped automata, where most product nodes can no
         longer disagree and are not expanded."""
-        aut, other = (
-            gen_random_sequential_shaped(size, base, dim, seed + k)
-            for k, size in enumerate((n, data.draw(st.integers(16, 64))))
-        )
+        aut = gen_random_sequential_shaped(n, base, dim, seed)
+        other = gen_random_sequential_shaped(data.draw(st.integers(16, 64)), base, dim, seed + 1)
         if encoding == PARALLEL:
             aut, other = parallelize_automaton(aut), parallelize_automaton(other)
         assert_searches_match(aut, depth_cap, other, data)
