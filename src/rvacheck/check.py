@@ -23,7 +23,7 @@ import numpy as np
 from .alphabet import PARALLEL, SEQUENTIAL
 from .automaton import Automaton
 from .fixing import dual_fixings
-from .minimize import joint_equivalence, minimal_form
+from .minimize import minimal_form, refine_partition, weak_colors
 from .shape import check_minimal_shape, dead_sink
 from .verdict import (
     ComplementInitialLanguage,
@@ -51,33 +51,32 @@ def _first_mismatch(bad):
 def _dual_tails(m, f, skip=None):
     """Compare the dual tails of component ``f`` at every state but ``skip``.
 
-    Jointly minimizes the fixings of ``f`` to ``b-1`` and to ``0``, then
-    checks, letter by letter, that each state's successor on a letter
-    and on the letter with ``f`` bumped have the same residual language
-    in the respective fixing.  The letters are those whose component
-    ``f`` is below ``b-1`` (in a sequential automaton ``f`` is the last
-    component and a letter is one digit).  Returns the equivalence table
-    and the first mismatch found (first by letter, then by state), or
-    None.
+    Jointly minimizes the fixings of ``f`` to ``b-1`` and to ``0`` by
+    refining their union (:func:`dual_fixings`), then checks, letter by
+    letter, that each state's successor on a letter and on the letter
+    with ``f`` bumped have the same residual language in the respective
+    fixing.  The letters are those whose component ``f`` is below ``b-1``
+    (in a sequential automaton ``f`` is the last component and a letter
+    is one digit).  Returns whether the initial state has one language
+    in both fixings, and the first mismatch (by letter, then by state)
+    or None.
     """
     spec = m.alphabet
     digit, weight = spec.digits(f)
-    hi, lo = dual_fixings(m, f)
-    table = joint_equivalence([hi.automaton, lo.automaton])
+    union, offset, stride = dual_fixings(m, f)
+    block = refine_partition(union.table, weak_colors(union)[0])
     letters = np.flatnonzero(digit != spec.base - 1)
-    hi_cls, lo_cls = table.classes
-    bad = (
-        hi_cls[hi.state(m.table[:, letters])]
-        != lo_cls[lo.state(m.table[:, letters + weight])]
-    )
+    hi, lo = m.table[:, letters] * stride, offset + m.table[:, letters + weight] * stride
+    bad = block[hi] != block[lo]
     if skip is not None:
         bad[skip] = False
+    same_root = bool(block[m.initial * stride] == block[offset + m.initial * stride])
     first = _first_mismatch(bad)
     if first is None:
-        return table, None
+        return same_root, None
     q, i = first
     letter = int(letters[i])
-    return table, PairMismatch(f, q, spec.letter_at(letter), spec.letter_at(letter + weight))
+    return same_root, PairMismatch(f, q, spec.letter_at(letter), spec.letter_at(letter + weight))
 
 
 def _check(aut: Automaton, components) -> Verdict:
@@ -172,10 +171,9 @@ def check_rva_complement_parallel(aut: Automaton) -> Verdict:
         return Verdict(False, ComplementPrefix(letter), minimized=m)
 
     for f in range(spec.dim):
-        table, mismatch = _dual_tails(m, f, skip=m.initial)
+        same_root, mismatch = _dual_tails(m, f, skip=m.initial)
         if mismatch is not None:
             return Verdict(False, mismatch, minimized=m)
-        # fixings keep the state numbering, so both roots are m.initial
-        if not table.same_language(0, m.initial, 1, m.initial):
+        if not same_root:
             return Verdict(False, ComplementInitialLanguage(f), minimized=m)
     return Verdict(True, minimized=m)

@@ -19,8 +19,8 @@ class FixedAutomaton(Record):
     """A fixing and the numbering of its source's states in it.
 
     A parallel fixing keeps the state set (``stride`` 1); a sequential
-    one pairs each state with a digit class (``stride`` ``dim``).
-    ``state(q, i)`` is source state ``q`` at digit class ``i``.
+    one pairs each state with a digit class (``stride`` ``dim``), so
+    source state ``q`` at digit class ``i`` is state ``q * stride + i``.
     """
 
     __slots__ = _fields = ("automaton", "stride")
@@ -28,9 +28,6 @@ class FixedAutomaton(Record):
     def __init__(self, automaton, stride=1):
         _set(self, "automaton", automaton)
         _set(self, "stride", stride)
-
-    def state(self, q, i=0):
-        return q * self.stride + i
 
 
 def fix_parallel(aut: Automaton, f: int, z: int) -> FixedAutomaton:
@@ -80,15 +77,24 @@ def fix_sequential(aut: Automaton, z: int) -> FixedAutomaton:
 
 
 def dual_fixings(aut: Automaton, f: int):
-    """The fixings of component ``f`` to ``b-1`` and to ``0``.
+    """The fixings of component ``f`` to ``b-1`` and to ``0``, glued.
 
     Either encoding; a sequential automaton can only fix its last
-    component, ``f == dim-1``.
+    component, ``f == dim-1``.  Returns ``(union, offset, stride)``: the
+    ``b-1`` fixing's states, then the ``0`` fixing's from ``offset`` on,
+    rooted at the first one's initial state; source state ``q`` is state
+    ``q * stride`` of the first and ``offset + q * stride`` of the second.
     """
     spec = aut.alphabet
     b = spec.base
     if spec.kind == PARALLEL:
-        return fix_parallel(aut, f, b - 1), fix_parallel(aut, f, 0)
-    if f != spec.dim - 1:
+        hi, lo = fix_parallel(aut, f, b - 1), fix_parallel(aut, f, 0)
+    elif f != spec.dim - 1:
         raise ValueError("sequential fixing needs the last component")
-    return fix_sequential(aut, b - 1), fix_sequential(aut, 0)
+    else:
+        hi, lo = fix_sequential(aut, b - 1), fix_sequential(aut, 0)
+    top, bottom = hi.automaton, lo.automaton
+    table = np.concatenate((top.table, bottom.table + top.n))
+    accepting = top.accepting | {q + top.n for q in bottom.accepting}
+    union = Automaton(top.alphabet, top.n + bottom.n, top.initial, accepting, table)
+    return union, top.n, hi.stride

@@ -22,10 +22,10 @@ states with equal acceptance and equal rows on the array; merged states
 are bisimilar, so the minimal form is the same.  Its docstring has the
 measurements.
 
-Quotients, unions and classes stay arrays: the minimal automaton's
-table is one gather of block ids, a union stacks its members' tables
-with state offsets, and :class:`EquivalenceTable` keeps one class array
-per automaton.
+Quotients and partitions stay arrays: the minimal automaton's table is
+one gather of block ids.  Two automata are minimized jointly as one,
+their disjoint union (:func:`rvacheck.fixing.dual_fixings`): two states
+share a language exactly when they share a block.
 
 Colors and components come from :func:`weak_colors`: Tarjan
 (:func:`sccs`) and the loop of :func:`normalized_colors`, which a table
@@ -42,12 +42,10 @@ The rounds also hold short distinguishing words: two states first split
 in round ``k`` have a letter whose successors are apart in round
 ``k-1``, and states of different colors are told apart by walking down
 the color chain.  :func:`distinguishing_word` reads a lasso off them
-without building the product of two automata.
+for two states of one automaton, without building a product.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -244,8 +242,11 @@ def refine_partition(table, labels):
     """Coarsest refinement of ``labels`` stable under every letter.
 
     The result maps each state to a block id, dense and meaning only
-    equality: the last round of :func:`_refinement_rounds`.  A round
-    costs ``O(n)``, or after the switch ``O(m log m)`` for the ``m``
+    equality: the last round of :func:`_refinement_rounds`.  Before the
+    switch a round gathers the ``n x k`` successor blocks and ranks them
+    in folds; a fold whose codes span more than ``2n + 64`` values sorts,
+    in ``O(n log n)``, and on a table that does not collapse every fold
+    does.  After the switch a round costs ``O(m log m)`` for the ``m``
     predecessors of the states whose id changed.
     """
     for block, _, _ in _refinement_rounds(table, labels):
@@ -384,60 +385,6 @@ def minimal_form(aut: Automaton):
     return Morphism(aut, morphism.target, mapping)
 
 
-class EquivalenceTable(Record):
-    """Constant-time cross-automaton state-language equality queries.
-
-    ``classes[i]`` is an integer array: the class of each state of the
-    ``i``-th automaton.
-    """
-
-    __slots__ = _fields = ("automata", "classes")
-
-    def same_language(self, i, q, j, p):
-        return bool(self.classes[i][q] == self.classes[j][p])
-
-
-def _weak_union(automata):
-    """Disjoint union of weak automata over one alphabet, and its colors.
-
-    The union is rooted at the first automaton's initial state.  Returns
-    it, each automaton's state offset in it, and per state the color and
-    component id, with recurrence and acceptance per component id.
-    """
-    if not automata:
-        raise ValueError("need at least one automaton")
-    spec = automata[0].alphabet
-    if any(a.alphabet != spec for a in automata):
-        raise ValueError("automata must share an alphabet")
-
-    offsets = list(accumulate((a.n for a in automata), initial=0))
-    table = np.concatenate([a.table + off for a, off in zip(automata, offsets)])
-    accepting = frozenset(
-        q + off for a, off in zip(automata, offsets) for q in a.accepting
-    )
-    union = Automaton(spec, offsets[-1], automata[0].initial, accepting, table)
-    colors = weak_colors(union)
-    if colors is None:
-        raise ValueError("automata must be weak")
-    return union, offsets[:-1], colors
-
-
-def joint_equivalence(automata) -> EquivalenceTable:
-    """Jointly minimize several automata over one alphabet.
-
-    The automata are glued into a disjoint union, rooted at the first
-    one's initial state.  Colors and refinement cover every state of the
-    union, reachable or not, so two states end up in the same class
-    exactly when their languages agree.  The union is colored by
-    :func:`weak_colors`.
-    """
-    automata = list(automata)
-    union, offsets, (colors, *_) = _weak_union(automata)
-    block = refine_partition(union.table, colors)
-    classes = tuple(block[off : off + a.n] for off, a in zip(offsets, automata))
-    return EquivalenceTable(tuple(automata), classes)
-
-
 def _shortest_path(succ, start, allowed, goal):
     """Labels of a shortest path from ``start`` to a ``goal`` node.
 
@@ -463,16 +410,16 @@ def _shortest_path(succ, start, allowed, goal):
     raise RuntimeError("no path to the goal")
 
 
-def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
-    """A lasso accepted from exactly one of ``a``'s ``q`` and ``b``'s ``p``.
+def distinguishing_word(aut: Automaton, q: int, p: int):
+    """A lasso accepted from exactly one of the states ``q`` and ``p``.
 
     Returns ``(prefix, period)`` letter tuples, or None when the two
     states have the same language; the contract of
-    :func:`rvacheck.oracle.distinguishing_lasso`, read off the
-    minimizer's refinement instead of the product of the two automata.
+    :func:`rvacheck.oracle.distinguishing_lasso` on ``(aut, q, aut, p)``,
+    read off the minimizer's refinement instead of a product.  States
+    of two automata are compared in their union (module docstring).
 
-    1. Color the disjoint union (:func:`weak_colors`) and refine it
-       until ``q`` and ``p`` split.
+    1. Color ``aut`` (:func:`weak_colors`); refine until ``q``, ``p`` split.
     2. Descend the rounds: a pair first split in round ``k`` has a
        letter whose successors are apart in round ``k-1``.  After at
        most ``rounds`` letters the two sides differ in color.
@@ -488,23 +435,25 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
 
     The refinement costs what :func:`refine_partition` costs.  The
     descent rolls one block array back through each round's changed
-    ids: ``n`` per round that ranks all ``n`` states of the union, and
-    ``O(n log n)`` over the others.  Each color step adds two
-    breadth-first searches and at most one pass of the cycle per state
-    of the other side.  The lasso is short but not always the shortest.
+    ids: ``n`` per round that ranks all ``n`` states, and ``O(n log n)``
+    over the others.  Each color step adds two breadth-first searches
+    and at most one pass of the cycle per state of the other side.  The
+    lasso is short but not always the shortest.
     """
-    union, (_, off), colors = _weak_union([a, b])
+    colors = weak_colors(aut)
+    if colors is None:
+        raise ValueError("automaton must be weak")
     color, scc_of, recurrent, accepting = (np.asarray(x).tolist() for x in colors)
-    x, y = q, p + off
+    x, y = q, p
     changes = []  # up to the round that splits q and p
-    for block, states, previous in _refinement_rounds(union.table, color):
+    for block, states, previous in _refinement_rounds(aut.table, color):
         changes.append((states, previous))
         if block[x] != block[y]:
             break
     else:
         return None
 
-    delta = union.delta
+    delta = aut.delta
     word = []
     for states, previous in reversed(changes[1:]):
         block[states] = previous  # one round back: x and y are apart one round later
@@ -540,6 +489,6 @@ def distinguishing_word(a: Automaton, q: int, b: Automaton, p: int):
         word += path + cycle * seen[y]
         if accepting[home] != accepting[scc_of[y]]:
             period = cycle * (len(seen) - seen[y])
-            letter = union.alphabet.letter_at
+            letter = aut.alphabet.letter_at
             return tuple(map(letter, word)), tuple(map(letter, period))
         c -= 1

@@ -50,13 +50,14 @@ for its searches; a search called alone computes them itself.
 
 Witness expansion is not part of that independent ground truth.  Every
 lasso inside a pair, and the one behind a complement prefix, is read
-off the minimizer's refinement
+off the refinement of one automaton
 (:func:`rvacheck.minimize.distinguishing_word`), so expansion costs
-about as much as the check that produced the witness: zero-loop and
-sign-absorption pairs compare the states reached with and without the
-padding, dual-tail pairs of both encodings and complement root pairs
-compare the ``b-1`` and ``0`` fixings of one component, and a
-complement prefix is compared with an empty automaton.  Only a
+about as much as the check that produced the witness.  Zero-loop and
+sign-absorption pairs compare the states of the minimal form reached
+with and without the padding; dual-tail and complement root pairs
+compare the ``b-1`` and ``0`` fixings of one component in their union
+(:func:`rvacheck.fixing.dual_fixings`); a complement prefix's state is
+compared with a dead sink appended to the minimal form.  Only a
 not-shape word comes from a product search, of the minimal form and the
 separator monitor (at most ``3d`` states).  :func:`distinguishing_lasso`
 stays as the product-graph reference for :func:`distinguishing_word`.
@@ -488,7 +489,7 @@ def _padding_pair(m: Automaton, head, pad, signed):
     """``head u v^w`` against ``head pad u v^w``, for a lasso ``u v^w``
     accepted after exactly one of ``head`` and ``head pad``."""
     x = m.run_prefix(m.initial, head)
-    lasso = distinguishing_word(m, x, m, m.run_prefix(x, pad))
+    lasso = distinguishing_word(m, x, m.run_prefix(x, pad))
     if lasso is None:
         return None
     u, v = lasso
@@ -500,10 +501,10 @@ def _dual_pair(m: Automaton, f, hi_head, lo_head, signed):
     ``f`` filled by ``b-1`` after the first and by ``0`` after the second,
     accepted after exactly one of them."""
     b = m.alphabet.base
-    hi, lo = dual_fixings(m, f)
-    x = hi.state(m.run_prefix(m.initial, hi_head))
-    y = lo.state(m.run_prefix(m.initial, lo_head))
-    lasso = distinguishing_word(hi.automaton, x, lo.automaton, y)
+    union, offset, stride = dual_fixings(m, f)
+    x = m.run_prefix(m.initial, hi_head) * stride
+    y = offset + m.run_prefix(m.initial, lo_head) * stride
+    lasso = distinguishing_word(union, x, y)
     if lasso is None:
         return None
     u, v = lasso
@@ -523,14 +524,14 @@ def expand_witness(verdict: Verdict, mode: str):
 
     Every lasso inside a pair or behind a complement prefix comes from
     :func:`distinguishing_word`, which reads it off the refinement of
-    the two automata involved: the cost is linear-size (rounds times
-    states), not the size of their product, and the lasso is short but
-    not always the shortest.  A zero-loop pair tells the states after a
-    head with and without a zero (or sign) padding apart; a dual-tail
-    pair tells the two fixings of one component apart.  Only a not-shape
-    word is searched in a product, of ``m`` and the separator monitor.
-    Every pair is re-checked by acceptance and exact value before it is
-    returned.
+    one automaton: the cost is linear-size (rounds times states), not
+    the size of a product, and the lasso is short but not always the
+    shortest.  A zero-loop pair tells the states of ``m`` after a head
+    with and without a zero (or sign) padding apart; a dual-tail pair
+    tells the two fixings of one component apart in their union.  Only
+    a not-shape word is searched in a product, of ``m`` and the
+    separator monitor.  Every pair is re-checked by acceptance and exact
+    value before it is returned.
     """
     if verdict.answer or verdict.minimized is None:
         return None
@@ -557,8 +558,9 @@ def expand_witness(verdict: Verdict, mode: str):
         return _padding_pair(m, (letter,), (letter,), signed)
 
     if kind == "complement-prefix":
-        empty = Automaton(spec, 1, 0, frozenset(), [[0] * spec.num_letters])
-        lasso = distinguishing_word(m, m.step(m.initial, w.letter), empty, 0)
+        sink = np.full((1, spec.num_letters), m.n)  # a state of empty language
+        padded = Automaton(spec, m.n + 1, m.initial, m.accepting, np.vstack((m.table, sink)))
+        lasso = distinguishing_word(padded, m.step(m.initial, w.letter), m.n)
         if lasso is None:
             return None
         u, v = lasso

@@ -6,7 +6,13 @@ import pytest
 from rvacheck.alphabet import SEQUENTIAL, AlphabetSpec
 from rvacheck.aut_io import parse_automaton
 from rvacheck.automaton import Automaton, sccs, trim_accessible
-from rvacheck.minimize import Morphism, minimize_weak, normalized_colors
+from rvacheck.minimize import (
+    Morphism,
+    minimize_weak,
+    normalized_colors,
+    refine_partition,
+    weak_colors,
+)
 from rvacheck.shape import shape_states
 from rvacheck.verdict import NotShape, Verdict
 
@@ -33,6 +39,26 @@ def unary_counter(m):
     delta = [[(r + 1) % m, acc if r == 0 else dead, dead] for r in range(m)]
     delta += [[acc] * 3, [dead] * 3]
     return Automaton(AlphabetSpec(2, 1), m + 2, 0, frozenset({acc}), delta)
+
+
+def glued(*automata):
+    """The disjoint union of ``automata``, one alphabet, rooted at the
+    first one's initial state; and each one's state offset in it."""
+    offsets = np.cumsum([0] + [a.n for a in automata]).tolist()
+    table = np.concatenate([a.table + off for a, off in zip(automata, offsets)])
+    accepting = {q + off for a, off in zip(automata, offsets) for q in a.accepting}
+    first = automata[0]
+    union = Automaton(first.alphabet, offsets[-1], first.initial, accepting, table)
+    return union, offsets[:-1]
+
+
+def language_classes(*automata):
+    """Per automaton, a class id for each state: two states of any of
+    ``automata`` (weak, one alphabet) share an id exactly when they have
+    one language.  The blocks of their refined union."""
+    union, offsets = glued(*automata)
+    block = refine_partition(union.table, weak_colors(union)[0])
+    return [block[off : off + a.n] for a, off in zip(automata, offsets)]
 
 
 def accepting_recurrent_states(aut):

@@ -201,7 +201,10 @@ class TestAcceptance:
         for n in sizes:
             aut = gen_interval_rva(n)
             best = {"dim1": None, "parallel": None}
-            for _ in range(5):  # the minimum damps scheduler noise
+            spent = repeats = 0
+            # the minimum damps scheduler noise; a check of the smallest
+            # size takes milliseconds, so repeat until the work is 0.25 s
+            while repeats < 5 or spent < 0.25:
                 gc.collect()
                 gc.disable()
                 try:
@@ -212,6 +215,7 @@ class TestAcceptance:
                     t2 = time.perf_counter()
                 finally:
                     gc.enable()
+                spent, repeats = spent + t2 - t0, repeats + 1
                 best["dim1"] = min(filter(None, [best["dim1"], t1 - t0]))
                 best["parallel"] = min(filter(None, [best["parallel"], t2 - t1]))
             for mode in times:

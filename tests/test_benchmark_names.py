@@ -3,15 +3,23 @@
 The benchmark is run on the parent commit and on a change alike, so a
 name it imports or reads must not move or vanish without a change to
 the benchmark itself.  These tests parse its files and resolve every
-such name; they import nothing from ``rvabench``.
+such name; they import nothing from ``rvabench``.  The traced CLI child,
+``rvabench/tracing.py``, also reads the results of the functions it
+wraps (its counters), so it is run as a subprocess on small inputs.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 
 import pytest
 
-from tests.conftest import ROOT
+from rvacheck.alphabet import PARALLEL, SEQUENTIAL
+from rvacheck.aut_io import serialize_automaton
+from rvacheck.oracle import gen_known_rva
+from tests.conftest import FIG2_PATH, ROOT
 
 BENCH_FILES = sorted((ROOT / "rvabench").glob("*.py"))
 
@@ -82,3 +90,33 @@ def test_check_functions_of_the_sweep_resolve():
 def test_traced_layers_import():
     for layer in literal(parsed(ROOT / "rvabench" / "tracing.py"), "LAYERS"):
         importlib.import_module(f"rvacheck.{layer}")
+
+
+# small files of every mode; the unit boxes reach the dual tails
+TRACED = {
+    "unit-box-parallel": (("unit-box", 2, 2, PARALLEL), ("parallel", "complement")),
+    "unit-box-sequential": (("unit-box", 2, 2, SEQUENTIAL), ("sequential",)),
+    "fig2": (None, ("parallel", "complement", "dim1")),
+}
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_traced_check_runs(tmp_path, name):
+    known, modes = TRACED[name]
+    path = FIG2_PATH
+    if known is not None:
+        path = tmp_path / f"{name}.rva"
+        path.write_text(serialize_automaton(gen_known_rva(*known)), encoding="utf-8")
+    for mode in modes:
+        out = tmp_path / f"{name}-{mode}.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "rvabench" / "tracing.py"), str(out), "0", "--",
+             "check", str(path), "--mode", mode, "--json"],
+            capture_output=True, text=True, cwd=ROOT, timeout=120,
+        )
+        assert proc.returncode in (0, 1), (mode, proc.stderr)
+        stats = json.loads(out.read_text(encoding="utf-8"))
+        checks = [entry for key, entry in stats.items() if key.startswith("check.check_rva_")]
+        assert checks and not any(entry["errors"] for entry in checks), (mode, stats)
+        if known is not None and mode != "complement":
+            assert stats["fixing.dual_fixings"]["calls"] >= 1, (mode, stats)

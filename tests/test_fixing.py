@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 
-from rvacheck.alphabet import BLANK, STAR
+from rvacheck.alphabet import BLANK, PARALLEL, SEQUENTIAL, STAR
 from rvacheck.automaton import is_weak
-from rvacheck.fixing import fix_parallel, fix_sequential
-from rvacheck.minimize import joint_equivalence
+from rvacheck.fixing import dual_fixings, fix_parallel, fix_sequential
 from rvacheck.oracle import distinguishing_lasso, gen_known_rva, gen_random_weak
 from rvacheck.words import PairWord
+from tests.conftest import language_classes
 from tests.word_encodings import pair_to_lasso
 
 
@@ -164,6 +165,32 @@ class TestFixSequential:
             once = fix_parallel(aut, 1, 2).automaton
             # refixing at the word level: languages must match state by state
             again = fix_parallel(aut, 1, 2).automaton
-            table = joint_equivalence([once, again])
-            for q in range(aut.n):
-                assert table.same_language(0, q, 1, q)
+            assert np.array_equal(*language_classes(once, again))
+
+
+class TestDualFixings:
+    @pytest.mark.parametrize("encoding", [PARALLEL, SEQUENTIAL])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_union_stacks_the_two_fixings(self, base, encoding):
+        # the b-1 fixing's states, then the 0 fixing's from offset on
+        for seed in range(6):
+            dim = 1 + seed % 3
+            aut = gen_random_weak(1 + seed % 5, base, dim, encoding, seed)
+            for f in range(dim) if encoding == PARALLEL else [dim - 1]:
+                if encoding == PARALLEL:
+                    hi, lo = fix_parallel(aut, f, base - 1), fix_parallel(aut, f, 0)
+                else:
+                    hi, lo = fix_sequential(aut, base - 1), fix_sequential(aut, 0)
+                top, bottom = hi.automaton, lo.automaton
+                union, offset, stride = dual_fixings(aut, f)
+                assert offset == top.n and union.n == top.n + bottom.n
+                assert np.array_equal(union.table, np.vstack((top.table, bottom.table + offset)))
+                assert union.accepting == top.accepting | {q + offset for q in bottom.accepting}
+                assert union.alphabet == top.alphabet and union.initial == top.initial
+                assert stride == (1 if encoding == PARALLEL else dim)
+                assert stride == hi.stride == lo.stride
+
+    def test_sequential_fixes_only_the_last_component(self):
+        aut = gen_random_weak(3, 2, 2, SEQUENTIAL, 0)
+        with pytest.raises(ValueError):
+            dual_fixings(aut, 0)

@@ -17,7 +17,6 @@ from rvacheck.fixing import dual_fixings, fix_parallel, fix_sequential
 from rvacheck.minimize import (
     _merge_equal_rows,
     distinguishing_word,
-    joint_equivalence,
     minimal_form,
     minimize_weak,
 )
@@ -30,7 +29,7 @@ from rvacheck.oracle import (
     gen_residue_rva,
     parallelize_automaton,
 )
-from tests.conftest import reference_minimal_form, unary_counter
+from tests.conftest import glued, language_classes, reference_minimal_form, unary_counter
 
 
 def corpus(count, sizes=range(1, 9), bases=(2, 3), dims=(1, 2), kinds=("parallel",)):
@@ -135,7 +134,7 @@ class TestMinimizeWeak:
     def test_numbering_ignores_block_ids(self, monkeypatch):
         # the residue automaton's states are unreachable in the union, and
         # its blocks are numbered by their smallest state, not by their ids
-        union = minimize._weak_union([gen_known_rva("full-space", 2, 1), gen_residue_rva(700)])[0]
+        union = glued(gen_known_rva("full-space", 2, 1), gen_residue_rva(700))[0]
         assert union.n * union.alphabet.num_letters >= SMALL_TABLE_CELLS
         want = minimize_weak(union)
         assert want.target.n - minimize_weak(trim_accessible(union)[0]).target.n > 100
@@ -286,30 +285,31 @@ def test_checks_of_a_large_table_build_no_rows():
 
 
 class TestJointEquivalence:
+    """Two states of glued automata share a block of the refined union
+    exactly when they have one language."""
+
     def test_identical_automata_pair_up(self):
         aut = gen_known_rva("full-space", 2, 2)
-        table = joint_equivalence([aut, aut])
-        for q in range(aut.n):
-            assert table.same_language(0, q, 1, q)
+        one, other = language_classes(aut, aut)
+        assert np.array_equal(one, other)
 
     def test_fixed_full_space_all_equivalent(self):
         aut = gen_known_rva("full-space", 2, 2)
         hi = fix_parallel(aut, 0, 1).automaton
         lo = fix_parallel(aut, 0, 0).automaton
-        table = joint_equivalence([hi, lo])
-        for q in range(aut.n):
-            assert table.same_language(0, q, 1, q)
+        hi_cls, lo_cls = language_classes(hi, lo)
+        assert np.array_equal(hi_cls, lo_cls)
 
     def test_disjoint_languages_no_cross_equivalence(self):
         full = gen_known_rva("full-space", 2, 1)
         zero = gen_known_rva("zero-only", 2, 1)
-        table = joint_equivalence([full, zero])
+        full_cls, zero_cls = language_classes(full, zero)
         # only the two dead sinks coincide
         matches = {
             (q, p)
             for q in range(full.n)
             for p in range(zero.n)
-            if table.same_language(0, q, 1, p)
+            if full_cls[q] == zero_cls[p]
         }
         assert matches == {(2, 2)}
 
@@ -317,18 +317,12 @@ class TestJointEquivalence:
         for base in (2, 3):
             pool = list(corpus(12, sizes=range(1, 6), bases=(base,), dims=(1,)))
             for a, b in zip(pool[::2], pool[1::2]):
-                table = joint_equivalence([a, b])
+                a_cls, b_cls = language_classes(a, b)
                 for q in range(a.n):
                     for p in range(b.n):
-                        assert table.same_language(0, q, 1, p) == (
+                        assert (a_cls[q] == b_cls[p]) == (
                             distinguishing_lasso(a, q, b, p) is None
                         )
-
-    def test_alphabet_mismatch_rejected(self):
-        a = gen_known_rva("full-space", 2, 1)
-        b = gen_known_rva("full-space", 3, 1)
-        with pytest.raises(ValueError):
-            joint_equivalence([a, b])
 
 
 def doubling_unions():
@@ -345,8 +339,7 @@ def doubling_unions():
 
 
 def fixing_union(aut, f=0):
-    hi, lo = dual_fixings(minimal_form(aut).target, f)
-    return minimize._weak_union([hi.automaton, lo.automaton])[0]
+    return dual_fixings(minimal_form(aut).target, f)[0]
 
 
 def canonical(ids):
@@ -455,27 +448,29 @@ class TestDoublingColors:
         assert max(minimize.weak_colors(chain)[0]) >= 1999
 
     def test_non_weak_cycle_declines_and_raises(self):
-        size = SMALL_TABLE_CELLS  # two copies reach the union size gate
+        size = SMALL_TABLE_CELLS  # above the size gate: colored on the quotient
         rows = [[(q + 1) % size, size] for q in range(size)] + [[size, size]]
         aut = two_column(rows, {0})
         assert minimize.weak_colors(aut) is None
         assert minimal_form(aut) is None
         with pytest.raises(ValueError):
-            joint_equivalence([aut, aut])
-        with pytest.raises(ValueError):
-            distinguishing_word(aut, 0, aut, 1)
+            distinguishing_word(aut, 0, 1)
 
     def test_large_unions_match_the_tarjan_path(self, monkeypatch):
         residue = minimal_form(gen_residue_rva(1500)).target  # unions above the size gate
-        hi, lo = (x.automaton for x in dual_fixings(residue, 0))
-        union = minimize._weak_union([hi, lo])[0]
+        union, offset, _ = dual_fixings(residue, 0)
         assert union.n * union.alphabet.num_letters >= SMALL_TABLE_CELLS
-        pairs = [(q, p) for q in range(0, residue.n, 97) for p in (q, q + 1, 0)]
-        contracted = joint_equivalence([hi, lo]).classes
-        words = [distinguishing_word(hi, q, lo, p % residue.n) for q, p in pairs]
+        pairs = [(q, offset + p % residue.n) for q in range(0, residue.n, 97)
+                 for p in (q, q + 1, 0)]
+
+        def classes():
+            return minimize.refine_partition(union.table, minimize.weak_colors(union)[0])
+
+        contracted = classes()
+        words = [distinguishing_word(union, q, p) for q, p in pairs]
         monkeypatch.setattr(minimize, "SMALL_TABLE_CELLS", 1 << 62)
-        assert all(map(np.array_equal, contracted, joint_equivalence([hi, lo]).classes))
-        assert words == [distinguishing_word(hi, q, lo, p % residue.n) for q, p in pairs]
+        assert np.array_equal(contracted, classes())
+        assert words == [distinguishing_word(union, q, p) for q, p in pairs]
         assert any(word is not None for word in words)
 
 
@@ -502,26 +497,32 @@ def weak_pairs(seeds):
                     for p in range(a.n):
                         yield hi, q, lo, p
             else:
-                hi = fix_sequential(a, base - 1)
-                lo = fix_sequential(a, 0)
+                hi = fix_sequential(a, base - 1).automaton
+                lo = fix_sequential(a, 0).automaton
                 for q in range(a.n):
-                    yield hi.automaton, hi.state(q), lo.automaton, lo.state((q + seed) % a.n)
+                    yield hi, q * dim, lo, (q + seed) % a.n * dim
         shaped = gen_random_sequential_shaped(8 + seed % 24, 2 + seed % 2, 1 + seed % 2, seed)
         par = parallelize_automaton(shaped)
         b = shaped.alphabet.base
-        hi, lo = fix_sequential(shaped, b - 1), fix_sequential(shaped, 0)
+        d = shaped.alphabet.dim
+        hi, lo = fix_sequential(shaped, b - 1).automaton, fix_sequential(shaped, 0).automaton
         phi = fix_parallel(par, 0, b - 1).automaton
         plo = fix_parallel(par, 0, 0).automaton
         for q in range(shaped.n):
-            yield hi.automaton, hi.state(q), lo.automaton, lo.state(shaped.delta[q][0])
+            yield hi, q * d, lo, shaped.delta[q][0] * d
             yield phi, q, plo, par.delta[q][0]
 
 
 class TestDistinguishingWord:
     def test_agrees_with_product_search(self):
+        # two states of one automaton, or of two glued into one
         checked = differing = 0
         for a, q, b, p in weak_pairs(range(25)):
-            word = distinguishing_word(a, q, b, p)
+            if a is b:
+                word = distinguishing_word(a, q, p)
+            else:
+                union, (_, offset) = glued(a, b)
+                word = distinguishing_word(union, q, offset + p)
             reference = distinguishing_lasso(a, q, b, p)
             assert (word is None) == (reference is None), (a, q, b, p)
             checked += 1
@@ -541,7 +542,7 @@ class TestDistinguishingWord:
         ladder = Automaton(spec, k, 0, frozenset(range(0, k, 2)), delta)
         for q in range(k):
             for p in range(k):
-                word = distinguishing_word(ladder, q, ladder, p)
+                word = distinguishing_word(ladder, q, p)
                 assert (word is None) == (q == p)
                 if word is not None:
                     assert accepts_from(ladder, q, word) != accepts_from(ladder, p, word)
@@ -553,14 +554,14 @@ class TestDistinguishingWord:
         counter = unary_counter(m)
         acc, dead = m, m + 1
         for q, p in [(1, 2), (0, m - 1), (3, 77), (m - 1, m - 2), (acc, dead)]:
-            word = distinguishing_word(counter, q, counter, p)
+            word = distinguishing_word(counter, q, p)
             reference = distinguishing_lasso(counter, q, counter, p)
             assert len(word[0]) + len(word[1]) <= len(reference[0]) + len(reference[1])
             assert accepts_from(counter, q, word) != accepts_from(counter, p, word)
 
     def test_deep_refinement_keeps_changes_not_rounds(self, monkeypatch):
-        # 4000 rounds over the 8004 states of the union: kept whole, the
-        # rounds would hold 32 million ids for the descent
+        # 4000 rounds over the 4002 states: kept whole, the rounds would
+        # hold 16 million ids for the descent
         counter = unary_counter(4000)
         kept = []
         rounds = minimize._refinement_rounds
@@ -571,24 +572,21 @@ class TestDistinguishingWord:
                 yield block, states, previous
 
         monkeypatch.setattr(minimize, "_refinement_rounds", spy)
-        word = distinguishing_word(counter, 1, counter, 2)
+        word = distinguishing_word(counter, 1, 2)
         assert accepts_from(counter, 1, word) != accepts_from(counter, 2, word)
         assert len(kept) >= 4000
-        assert sum(kept[1:]) <= 8 * 2 * counter.n  # round 0 changes nothing
+        assert sum(kept[1:]) <= 8 * counter.n  # round 0 changes nothing
 
     def test_fig2_pairs(self, fig2):
         for q in range(fig2.n):
             for p in range(fig2.n):
-                word = distinguishing_word(fig2, q, fig2, p)
+                word = distinguishing_word(fig2, q, p)
                 assert (word is None) == (distinguishing_lasso(fig2, q, fig2, p) is None)
                 if word is not None:
                     assert accepts_from(fig2, q, word) != accepts_from(fig2, p, word)
 
-    def test_alphabet_mismatch_and_non_weak_rejected(self):
-        a = gen_known_rva("full-space", 2, 1)
-        with pytest.raises(ValueError):
-            distinguishing_word(a, 0, gen_known_rva("full-space", 3, 1), 0)
+    def test_non_weak_rejected(self):
         spec = AlphabetSpec(2, 1)
         cycle = Automaton(spec, 2, 0, frozenset({1}), [[1, 1, 1], [0, 0, 0]])
         with pytest.raises(ValueError):
-            distinguishing_word(cycle, 0, a, 0)
+            distinguishing_word(cycle, 0, 1)

@@ -21,7 +21,6 @@ from rvacheck.check import _dual_tails, _first_mismatch
 from rvacheck.fixing import fix_parallel, fix_sequential
 from rvacheck.minimize import (
     _refinement_rounds,
-    joint_equivalence,
     minimize_weak,
     normalized_colors,
     refine_partition,
@@ -33,7 +32,7 @@ from rvacheck.oracle import (
     parallelize_automaton,
 )
 from rvacheck.verdict import PairMismatch
-from tests.conftest import unary_counter
+from tests.conftest import language_classes, unary_counter
 
 
 @st.composite
@@ -133,8 +132,8 @@ def first_seen(ids):
 def dual_tails_rows(m, f, skip=None):
     spec = m.alphabet
     b = spec.base
-    table = joint_equivalence(
-        [fix_parallel(m, f, b - 1).automaton, fix_parallel(m, f, 0).automaton]
+    hi_cls, lo_cls = language_classes(
+        fix_parallel(m, f, b - 1).automaton, fix_parallel(m, f, 0).automaton
     )
     for letter in spec.digit_letters():
         if letter[f] == b - 1:
@@ -142,7 +141,7 @@ def dual_tails_rows(m, f, skip=None):
         bumped = letter[:f] + (letter[f] + 1,) + letter[f + 1 :]
         li, lj = spec.letter_index(letter), spec.letter_index(bumped)
         for q in range(m.n):
-            if q != skip and not table.same_language(0, m.delta[q][li], 1, m.delta[q][lj]):
+            if q != skip and hi_cls[m.delta[q][li]] != lo_cls[m.delta[q][lj]]:
                 return PairMismatch(f, q, letter, bumped)
     return None
 
@@ -170,13 +169,14 @@ def dual_pairs_rows(spec, f):
 def sequential_tails_rows(m):
     spec = m.alphabet
     b = spec.base
-    hi, lo = fix_sequential(m, b - 1), fix_sequential(m, 0)
-    table = joint_equivalence([hi.automaton, lo.automaton])
+    d = spec.dim
+    hi_cls, lo_cls = language_classes(
+        fix_sequential(m, b - 1).automaton, fix_sequential(m, 0).automaton
+    )
     for a in range(b - 1):
         for q in range(m.n):
-            x = hi.state(m.delta[q][a], 0)
-            y = lo.state(m.delta[q][a + 1], 0)
-            if not table.same_language(0, x, 1, y):
+            # state q at digit class 0 of each fixing
+            if hi_cls[m.delta[q][a] * d] != lo_cls[m.delta[q][a + 1] * d]:
                 return PairMismatch(spec.dim - 1, q, a, a + 1)
     return None
 
@@ -253,6 +253,8 @@ def test_fixings_equal_their_row_definition(aut, z):
 @given(weak_automata())
 @settings(max_examples=60, deadline=None)
 def test_joint_classes_equal_a_list_built_union(aut):
+    # the blocks of a glued union, colored by weak_colors, against the
+    # rows' union colored by normalized_colors
     spec = aut.alphabet
     m = minimal(aut)
     if spec.kind == PARALLEL:
@@ -260,7 +262,7 @@ def test_joint_classes_equal_a_list_built_union(aut):
     else:
         pair = [fix_sequential(m, spec.base - 1).automaton, fix_sequential(m, 0).automaton]
     for automata in (pair, [m, aut], [aut]):
-        classes = joint_equivalence(automata).classes
+        classes = language_classes(*automata)
         assert [c.tolist() for c in classes] == union_classes_rows(automata)
 
 
