@@ -28,7 +28,9 @@ A file (:func:`read_automaton`) is read one line at a time up to its
 first line that is neither blank nor a comment, each line held to
 ``MAX_HEADER_LINE`` (65,536) characters, its line break included: a
 longer line, or a first such line other than the header, refuses the
-file before the rest is read.
+file before the rest is read.  The body after ``transitions:`` is held to
+the declared cells times the longest line the writer puts out for their
+alphabet and states, plus ``COMMENT_ALLOWANCE`` (2^20) characters.
 
 A table of at least ``SMALL_TABLE_CELLS`` cells whose body is in the
 form :func:`serialize_automaton` writes (ASCII, ``\n`` line ends,
@@ -100,6 +102,9 @@ _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # characters a line before the header may hold
 MAX_HEADER_LINE = 1 << 16
 
+# characters a body may hold beyond its longest possible transition lines
+COMMENT_ALLOWANCE = 1 << 20
+
 # characters of the body the bulk reader converts to bytes at a time
 _BULK_CHUNK = 1 << 18
 
@@ -126,9 +131,19 @@ def read_automaton(handle, complete_with_sink: bool = False) -> Automaton:
             break
         head += line
         found = next(filter(None, (raw.split("#", 1)[0].strip() for raw, _ in _lines(line))), None)
-    if found not in (None, FORMAT_HEADER):
+    if found != FORMAT_HEADER:
         return parse_automaton(head)  # refuses it, naming the line
-    return parse_automaton(head + handle.read(), complete_with_sink)
+    for line in iter(handle.readline, ""):
+        head += line
+        if "transitions:" in (raw.split("#", 1)[0].strip() for raw, _ in _lines(line)):
+            break
+    header = spec, n, *_ = _parse_header(head, complete_with_sink)
+    letter = (spec.dim if spec.is_parallel else 1) * (len(str(spec.base - 1)) + 1)  # and commas
+    budget = n * spec.num_letters * (2 * len(str(n - 1)) + letter + 5) + COMMENT_ALLOWANCE
+    body = handle.read(budget + 1)
+    if len(body) > budget:
+        raise AutomatonFormatError(f"transitions over the budget of {budget} characters")
+    return _build(head + body, header, complete_with_sink)
 
 
 def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
@@ -140,6 +155,10 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
     bodies the bulk reader refuses, go to the line loop
     (:func:`_line_table`), which gives rows and names every error.
     """
+    return _build(text, _parse_header(text, complete_with_sink), complete_with_sink)
+
+
+def _parse_header(text, complete_with_sink):  # the fields, transitions: line and its end
     fields = {}
     transitions_at = None
     header_seen = False
@@ -219,6 +238,11 @@ def parse_automaton(text: str, complete_with_sink: bool = False) -> Automaton:
         check_table_budget(spec, n if complete_with_sink else 0)
     except ValueError as exc:
         raise AutomatonFormatError(str(exc))
+    return spec, n, initial, accepting, transitions_at, body
+
+
+def _build(text, header, complete_with_sink):  # header: _parse_header(text, ...)
+    spec, n, initial, accepting, transitions_at, body = header
     table = None
     if n * spec.num_letters >= SMALL_TABLE_CELLS:
         table = _bulk_table(text, body, spec, n, complete_with_sink)

@@ -11,7 +11,9 @@ or a parsed one below ``SMALL_TABLE_CELLS``, keeps its rows and gets
 its array when a stage first needs it; a larger parsed one, or one
 built by a vectorized stage, keeps its array, and no stage of a check
 builds its rows.  Values are treated as immutable after construction:
-every operation here is a pure read and results are fresh objects.
+every operation here is a pure read and results are fresh objects, but
+:func:`_memo` keeps a minimal form or dual fixings derived from a whole
+automaton on it, shared, read-only and out of pickled and copied state.
 """
 
 from __future__ import annotations
@@ -139,6 +141,9 @@ class Automaton:
                 break
         return bool(visited & self.accepting)
 
+    def __getstate__(self):  # the memo is no state
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+
     def structurally_equal(self, other):
         return (
             self.alphabet == other.alphabet
@@ -147,6 +152,12 @@ class Automaton:
             and self.accepting == other.accepting
             and np.array_equal(self.table, other.table)
         )
+
+
+def _memo(aut: Automaton, key, build, *args):
+    """``build(aut, *args)`` on the first call for ``aut`` and ``key``; its result after."""
+    memo = aut.__dict__.setdefault("_memo", {})
+    return memo[key] if key in memo else memo.setdefault(key, build(aut, *args))
 
 
 class SccInfo:

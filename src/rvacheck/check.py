@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alphabet import PARALLEL, SEQUENTIAL
-from .automaton import Automaton
+from .automaton import Automaton, _memo
 from .fixing import dual_fixings
 from .minimize import minimal_form, refine_partition, weak_colors
 from .shape import check_minimal_shape, dead_sink
@@ -48,23 +48,29 @@ def _first_mismatch(bad):
     return int(bad[:, k].argmax()), k
 
 
+def _language_blocks(union):  # blocks of the states, equal where their languages are
+    block = refine_partition(union.table, weak_colors(union)[0])
+    block.setflags(write=False)
+    return block
+
+
 def _dual_tails(m, f, skip=None):
     """Compare the dual tails of component ``f`` at every state but ``skip``.
 
     Jointly minimizes the fixings of ``f`` to ``b-1`` and to ``0`` by
-    refining their union (:func:`dual_fixings`), then checks, letter by
-    letter, that each state's successor on a letter and on the letter
-    with ``f`` bumped have the same residual language in the respective
-    fixing.  The letters are those whose component ``f`` is below ``b-1``
-    (in a sequential automaton ``f`` is the last component and a letter
-    is one digit).  Returns whether the initial state has one language
-    in both fixings, and the first mismatch (by letter, then by state)
-    or None.
+    refining their union (:func:`dual_fixings`, once per ``m`` and ``f``),
+    then checks, letter by letter, that each state's successor on a
+    letter and on the letter with ``f`` bumped have the same residual
+    language in the respective fixing.  The letters are those whose
+    component ``f`` is below ``b-1`` (in a sequential automaton ``f`` is
+    the last component and a letter is one digit).  Returns whether the
+    initial state has one language in both fixings, and the first
+    mismatch (by letter, then by state) or None.
     """
     spec = m.alphabet
     digit, weight = spec.digits(f)
     union, offset, stride = dual_fixings(m, f)
-    block = refine_partition(union.table, weak_colors(union)[0])
+    block = _memo(union, "blocks", _language_blocks)
     letters = np.flatnonzero(digit != spec.base - 1)
     hi, lo = m.table[:, letters] * stride, offset + m.table[:, letters + weight] * stride
     bad = block[hi] != block[lo]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alphabet import BLANK, AlphabetSpec, PARALLEL, SEQUENTIAL
-from .automaton import Automaton
+from .automaton import Automaton, _memo
 from .record import Record, _set
 
 
@@ -83,8 +83,13 @@ def dual_fixings(aut: Automaton, f: int):
     component, ``f == dim-1``.  Returns ``(union, offset, stride)``: the
     ``b-1`` fixing's states, then the ``0`` fixing's from ``offset`` on,
     rooted at the first one's initial state; source state ``q`` is state
-    ``q * stride`` of the first and ``offset + q * stride`` of the second.
+    ``q * stride`` of the first and ``offset + q * stride`` of the second,
+    built once per ``aut`` and ``f`` (:func:`rvacheck.automaton._memo`).
     """
+    return _memo(aut, ("dual_fixings", f), _dual_fixings, f)
+
+
+def _dual_fixings(aut: Automaton, f: int):
     spec = aut.alphabet
     b = spec.base
     if spec.kind == PARALLEL:
@@ -95,6 +100,7 @@ def dual_fixings(aut: Automaton, f: int):
         hi, lo = fix_sequential(aut, b - 1), fix_sequential(aut, 0)
     top, bottom = hi.automaton, lo.automaton
     table = np.concatenate((top.table, bottom.table + top.n))
+    table.setflags(write=False)
     accepting = top.accepting | {q + top.n for q in bottom.accepting}
     union = Automaton(top.alphabet, top.n + bottom.n, top.initial, accepting, table)
     return union, top.n, hi.stride

@@ -53,6 +53,7 @@ from .automaton import (
     SMALL_TABLE_CELLS,
     Automaton,
     SccInfo,
+    _memo,
     reachable,
     sccs,
     strong_components,
@@ -367,8 +368,12 @@ def minimal_form(aut: Automaton):
     its size: ``gen_interval_rva(25086)`` takes 11 rounds, 10 of them
     taken, from 25086 states to 48.  The residue and product inputs take
     1 round and merge nothing.  Tables below ``SMALL_TABLE_CELLS`` cells
-    skip the merge.
+    skip the merge.  Built once per ``aut`` (:func:`rvacheck.automaton._memo`).
     """
+    return _memo(aut, "minimal_form", _minimal_form)
+
+
+def _minimal_form(aut: Automaton):
     trimmed, trim_map = trim_accessible(aut)
     merged, merge_map = trimmed, None
     if trimmed.n * aut.alphabet.num_letters >= SMALL_TABLE_CELLS:
@@ -382,6 +387,8 @@ def minimal_form(aut: Automaton):
         mapping = mapping[merge_map]
     if trim_map is not None:
         mapping = np.append(mapping, -1)[trim_map]  # -1 picks the appended -1
+    mapping.setflags(write=False)
+    morphism.target.table.setflags(write=False)
     return Morphism(aut, morphism.target, mapping)
 
 

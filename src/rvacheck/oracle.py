@@ -55,12 +55,12 @@ off the refinement of one automaton
 about as much as the check that produced the witness.  Zero-loop and
 sign-absorption pairs compare the states of the minimal form reached
 with and without the padding; dual-tail and complement root pairs
-compare the ``b-1`` and ``0`` fixings of one component in their union
-(:func:`rvacheck.fixing.dual_fixings`); a complement prefix's state is
-compared with a dead sink appended to the minimal form.  Only a
-not-shape word comes from a product search, of the minimal form and the
-separator monitor (at most ``3d`` states).  :func:`distinguishing_lasso`
-stays as the product-graph reference for :func:`distinguishing_word`.
+compare the ``b-1`` and ``0`` fixings of one component in the union the
+check kept (:func:`rvacheck.fixing.dual_fixings`); a complement prefix's
+state is compared with a dead sink appended to the minimal form.  Only
+a not-shape word comes from a product search.  The searches here read
+nothing a check kept, and :func:`distinguishing_lasso` stays as the
+product-graph reference for :func:`distinguishing_word`.
 """
 
 from __future__ import annotations
@@ -528,10 +528,10 @@ def expand_witness(verdict: Verdict, mode: str):
     the size of a product, and the lasso is short but not always the
     shortest.  A zero-loop pair tells the states of ``m`` after a head
     with and without a zero (or sign) padding apart; a dual-tail pair
-    tells the two fixings of one component apart in their union.  Only
-    a not-shape word is searched in a product, of ``m`` and the
-    separator monitor.  Every pair is re-checked by acceptance and exact
-    value before it is returned.
+    tells the two fixings of one component apart in the union the check
+    kept on ``m``.  Only a not-shape word is searched in a product, of
+    ``m`` and the separator monitor.  Every pair is re-checked by
+    acceptance and exact value before it is returned.
     """
     if verdict.answer or verdict.minimized is None:
         return None

@@ -91,9 +91,9 @@ def value_fractional(prefix, period, base):
     period = tuple(period)
     if not period:
         raise ValueError("fractional part needs a nonempty period")
-    head = value_natural(prefix, base)
-    tail = Fraction(value_natural(period, base), base ** len(period) - 1)
-    return (head + tail) / Fraction(base) ** len(prefix)
+    cycle = base ** len(period) - 1
+    head = value_natural(prefix, base) * cycle + value_natural(period, base)
+    return Fraction(head, base ** len(prefix) * cycle)
 
 
 def split_at_star(pw: PairWord):

@@ -1,10 +1,13 @@
+import collections
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvacheck import check, fixing, minimize, oracle
 from rvacheck.alphabet import AlphabetSpec
+from rvacheck.aut_io import parse_automaton
 from rvacheck.automaton import Automaton, trim_accessible
 from rvacheck.check import (
     check_rva_complement_parallel,
@@ -12,7 +15,8 @@ from rvacheck.check import (
     check_rva_parallel,
     check_rva_sequential,
 )
-from rvacheck.minimize import minimize_weak
+from rvacheck.fixing import dual_fixings
+from rvacheck.minimize import minimal_form, minimize_weak
 from rvacheck.oracle import (
     expand_witness,
     gen_known_rva,
@@ -306,6 +310,99 @@ class TestComplementCheck:
                 assert aut.accepts_lasso(expansion.word.prefix, expansion.word.period)
             else:
                 assert expansion.verify(aut), (seed, b, d)
+
+
+def complement_root_automaton():
+    """Accepts the zero-signed encodings of 0 alone: the two all-sign
+    fixings part at the root and nowhere else."""
+    spec = AlphabetSpec(2, 1)
+    root, zeros, fraction, dead = range(4)
+    delta = [[zeros, dead, dead], [zeros, dead, fraction], [fraction, dead, dead], [dead] * 3]
+    return Automaton(spec, 4, root, frozenset({fraction}), delta)
+
+
+class TestSharedDerivedStructures:
+    """Every check mode and the witness expansion share one minimal form
+    per automaton, and one union of dual fixings with its refinement per
+    minimal form and component."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = collections.Counter()
+
+        def spy(module, name, key):
+            build = getattr(module, name)
+
+            def counted(*args):
+                count[name, key(*args)] += 1
+                return build(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(minimize, "_minimal_form", id)
+        spy(fixing, "_dual_fixings", lambda m, f: (id(m), f))
+        spy(check, "refine_partition", lambda table, labels: id(table))
+        for module in (check, oracle):  # every request
+            spy(module, "dual_fixings", lambda m, f: (id(m), f))
+        return count
+
+    def test_one_build_per_automaton_and_component(self, builds, fig2_text):
+        spec = AlphabetSpec(2, 1)
+        full = gen_known_rva("complement-full", 3, 1)
+        delta = [list(row) for row in full.delta]
+        delta[0][1] = 1  # as in TestComplementCheck: a complement prefix
+        automata = [
+            Automaton(spec, 2, 0, frozenset({0}), [[1, 1, 1], [0, 0, 0]]),  # not weak
+            Automaton(spec, 1, 0, frozenset({0}), [[0, 0, 0]]),  # not shaped
+            parse_automaton(fig2_text),  # a broken zero loop
+            single_value_automaton(),  # a pair mismatch
+            Automaton(full.alphabet, full.n, 0, full.accepting, delta),
+            complement_root_automaton(),
+            gen_known_rva("full-space", 2, 1),  # saturated
+        ]
+        kinds = set()
+        for aut in automata:
+            for mode, run in (
+                ("parallel", check_rva_parallel),
+                ("dim1", check_rva_dim1),
+                ("complement", check_rva_complement_parallel),
+            ):
+                verdict = run(aut)
+                kinds.add(verdict.answer or verdict.witness.kind)
+                if not verdict.answer:
+                    expand_witness(verdict, mode)
+            assert minimal_form(aut) is minimal_form(aut)
+        assert kinds == {
+            True, "not-weak", "not-shape", "zero-loop-broken", "pair-mismatch",
+            "complement-prefix", "complement-initial-language",
+        }
+        minimal_builds = {k: v for k, v in builds.items() if k[0] == "_minimal_form"}
+        assert minimal_builds == {("_minimal_form", id(aut)): 1 for aut in automata}
+        unions = {k[1]: v for k, v in builds.items() if k[0] == "_dual_fixings"}
+        assert unions and set(unions.values()) == {1}
+        requests = sum(v for k, v in builds.items() if k[0] == "dual_fixings")
+        assert requests >= 2 * len(unions)  # parallel and dim1 at least: shared
+        refinements = [v for k, v in builds.items() if k[0] == "refine_partition"]
+        assert len(refinements) == len(unions) and set(refinements) == {1}
+
+        for aut in automata[1:]:
+            morphism = minimal_form(aut)
+            assert not morphism.mapping.flags.writeable
+            assert not morphism.target.table.flags.writeable
+        m = minimal_form(single_value_automaton()).target
+        union = dual_fixings(m, 0)[0]
+        assert not union.table.flags.writeable
+        assert not check._memo(union, "blocks", check._language_blocks).flags.writeable
+
+    def test_equal_automata_share_nothing(self, builds):
+        one, other = single_value_automaton(), single_value_automaton()
+        assert one.structurally_equal(other)
+        for aut in (one, other, one, other):
+            check_rva_parallel(aut)
+        assert minimal_form(one) is not minimal_form(other)
+        assert builds["_minimal_form", id(one)] == builds["_minimal_form", id(other)] == 1
+        unions = [k for k in builds if k[0] == "_dual_fixings"]
+        assert len(unions) == 2
 
 
 class TestCrossValidation:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import random
 import resource
@@ -808,6 +809,58 @@ class TestHeaderRead:
         with mock.patch("rvacheck.cli.read_automaton", side_effect=MemoryError):
             assert main(["check", str(FIG2_PATH), "--mode", "parallel"]) == 2
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+class EndlessBody(io.StringIO):
+    """A header up to ``transitions:``, then comment lines without end."""
+
+    def read(self, size=-1):
+        assert size >= 0, "read to the end of an endless file"
+        return ("# note\n" * (size // 7 + 1))[:size]
+
+
+class TestBodyRead:
+    """The transitions are held to their cells' longest written lines
+    plus ``COMMENT_ALLOWANCE`` characters."""
+
+    def test_written_files_fit_without_the_allowance(self, monkeypatch, fig2_text):
+        monkeypatch.setattr(aut_io, "COMMENT_ALLOWANCE", 0)
+        automata = [parse_automaton(fig2_text), gen_residue_rva(1001), gen_interval_rva(300)]
+        for kind, base, dim, enc in itertools.product(
+            ("full-space", "unit-box"), (2, 3, 10, 12), (1, 2), ("parallel", "sequential")
+        ):
+            automata.append(gen_known_rva(kind, base, dim, enc))
+        for aut in automata[:]:
+            spec = aut.alphabet
+            if spec.is_parallel:
+                automata.append(fix_parallel(aut, spec.dim - 1, 0).automaton)
+            else:
+                automata.append(fix_sequential(aut, 0).automaton)
+        for aut in automata:
+            text = serialize_automaton(aut)
+            assert aut_io.read_automaton(io.StringIO(text)).structurally_equal(aut)
+        # fig2's file is the writer's text: it fills its budget exactly
+        with pytest.raises(AutomatonFormatError, match="over the budget of 252 characters"):
+            aut_io.read_automaton(io.StringIO(fig2_text + "\n"))
+
+    def test_over_budget_body_exits_2_with_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(aut_io, "COMMENT_ALLOWANCE", 64)
+        one_state = serialize_automaton(Automaton(AlphabetSpec(2, 1), 1, 0, {0}, [[0, 0, 0]]))
+        budget = 3 * (2 + 1 + 6) + 64  # 3 cells of "0 L -> 0\n" at most
+        path = tmp_path / "commented.rva"
+        path.write_text(one_state + "#" * (budget - len(one_state.split("transitions:\n")[1])))
+        with open(path) as handle:
+            assert aut_io.read_automaton(handle).n == 1
+        path.write_text(one_state + "# note\n" * 1000)
+        assert main(["check", str(path), "--mode", "parallel"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: transitions over the budget of {budget} characters\n"
+
+    def test_endless_body_is_refused_after_the_budget(self, fig2_text):
+        head = fig2_text.split("transitions:\n")[0] + "transitions:\n"
+        budget = 7 * 4 * 9 + aut_io.COMMENT_ALLOWANCE
+        with pytest.raises(AutomatonFormatError, match=f"over the budget of {budget} "):
+            aut_io.read_automaton(EndlessBody(head))
 
 
 class TestCliFuzz:

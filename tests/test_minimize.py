@@ -133,11 +133,15 @@ class TestMinimizeWeak:
 
     def test_numbering_ignores_block_ids(self, monkeypatch):
         # the residue automaton's states are unreachable in the union, and
-        # its blocks are numbered by their smallest state, not by their ids
-        union = glued(gen_known_rva("full-space", 2, 1), gen_residue_rva(700))[0]
-        assert union.n * union.alphabet.num_letters >= SMALL_TABLE_CELLS
-        want = minimize_weak(union)
-        assert want.target.n - minimize_weak(trim_accessible(union)[0]).target.n > 100
+        # its blocks are numbered by their smallest state, not by their ids;
+        # each setting reads a union of its own
+        def union():
+            return glued(gen_known_rva("full-space", 2, 1), gen_residue_rva(700))[0]
+
+        first = union()
+        assert first.n * first.alphabet.num_letters >= SMALL_TABLE_CELLS
+        want = minimize_weak(first)
+        assert want.target.n - minimize_weak(trim_accessible(union())[0]).target.n > 100
         refine = minimize.refine_partition
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -147,7 +151,7 @@ class TestMinimizeWeak:
                 return rng.permutation(int(block.max()) + 1)[block]
 
             monkeypatch.setattr(minimize, "refine_partition", shuffled)
-            got = minimize_weak(union)
+            got = minimize_weak(union())
             assert got.target.structurally_equal(want.target)
             assert np.array_equal(got.mapping, want.mapping)
 
@@ -457,20 +461,22 @@ class TestDoublingColors:
             distinguishing_word(aut, 0, 1)
 
     def test_large_unions_match_the_tarjan_path(self, monkeypatch):
-        residue = minimal_form(gen_residue_rva(1500)).target  # unions above the size gate
-        union, offset, _ = dual_fixings(residue, 0)
-        assert union.n * union.alphabet.num_letters >= SMALL_TABLE_CELLS
-        pairs = [(q, offset + p % residue.n) for q in range(0, residue.n, 97)
-                 for p in (q, q + 1, 0)]
+        # each setting builds its own residue automaton, minimal form and
+        # union, so neither reads what the other kept on them
+        def classes_and_words():
+            residue = minimal_form(gen_residue_rva(1500)).target  # unions above the size gate
+            union, offset, _ = dual_fixings(residue, 0)
+            assert union.n * union.alphabet.num_letters >= SMALL_TABLE_CELLS
+            pairs = [(q, offset + p % residue.n) for q in range(0, residue.n, 97)
+                     for p in (q, q + 1, 0)]
+            classes = minimize.refine_partition(union.table, minimize.weak_colors(union)[0])
+            return classes, [distinguishing_word(union, q, p) for q, p in pairs]
 
-        def classes():
-            return minimize.refine_partition(union.table, minimize.weak_colors(union)[0])
-
-        contracted = classes()
-        words = [distinguishing_word(union, q, p) for q, p in pairs]
+        contracted, words = classes_and_words()
         monkeypatch.setattr(minimize, "SMALL_TABLE_CELLS", 1 << 62)
-        assert np.array_equal(contracted, classes())
-        assert words == [distinguishing_word(union, q, p) for q, p in pairs]
+        tarjan, tarjan_words = classes_and_words()
+        assert np.array_equal(contracted, tarjan)
+        assert words == tarjan_words
         assert any(word is not None for word in words)
 
 

@@ -11,11 +11,19 @@ import numpy as np
 import pytest
 
 from rvacheck.alphabet import AlphabetSpec
-from rvacheck.aut_io import serialize_automaton
+from rvacheck.alphabet import SEQUENTIAL
+from rvacheck.aut_io import parse_automaton, serialize_automaton
 from rvacheck.check import check_rva_parallel
+from rvacheck.cli import CHECKS
 from rvacheck.fixing import FixedAutomaton
 from rvacheck.minimize import Morphism
-from rvacheck.oracle import BadShapeWord, CounterexamplePair, expand_witness, gen_residue_rva
+from rvacheck.oracle import (
+    BadShapeWord,
+    CounterexamplePair,
+    expand_witness,
+    gen_known_rva,
+    gen_residue_rva,
+)
 from rvacheck.verdict import (
     ComplementInitialLanguage,
     ComplementPrefix,
@@ -134,7 +142,7 @@ def test_witness_dict_puts_kind_first_then_the_fields_in_order(witness, expected
     assert data == expected and list(data) == list(expected)
 
 
-def test_copy_and_pickle_round_trip(fig2):
+def test_copy_and_pickle_round_trip(fig2, fig2_text):
     verdict = Verdict(False, PairMismatch(1, 2, (0, 0), (0, 1)), "detail", minimized=fig2)
     for clone in (copy.copy(verdict), copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
         assert clone == verdict and clone.witness == verdict.witness
@@ -144,6 +152,22 @@ def test_copy_and_pickle_round_trip(fig2):
     for clone in (copy.copy(pair), pickle.loads(pickle.dumps(pair))):
         assert clone == pair and clone.verify(fig2)
         assert clone.to_dict() == pair.to_dict()
+    # a check keeps the minimal form, the dual fixings and their blocks
+    # on the automata it reads; pickling and copying leave them out, so a
+    # clone is checked from scratch, to the same verdict
+    sequential = gen_known_rva("unit-box", 2, 2, SEQUENTIAL)
+    for aut, modes in (
+        (parse_automaton(fig2_text), ("parallel", "dim1", "complement")),
+        (sequential, ("sequential",)),
+    ):
+        verdicts = {mode: CHECKS[mode](aut) for mode in modes}
+        assert "_memo" in vars(aut)
+        for clone in (copy.copy(aut), copy.deepcopy(aut), pickle.loads(pickle.dumps(aut))):
+            assert "_memo" not in vars(clone) and clone.structurally_equal(aut)
+            for mode, verdict in verdicts.items():
+                again = CHECKS[mode](clone)
+                assert again == verdict and again.minimized is not verdict.minimized
+                assert again.minimized.structurally_equal(verdict.minimized)
 
 
 def test_cli_start_up_generates_no_code():

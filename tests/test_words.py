@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,23 @@ class TestValueMaps:
         assert value_fractional([0], [1, 0], 2) == Fraction(1, 3)
         assert value_fractional([0], [1], 2) == Fraction(1, 2)
         assert value_fractional([1], [0], 2) == Fraction(1, 2)
+
+    def test_fractional_equals_the_sum_of_fractions(self):
+        # the reference adds the geometric tail to the head and scales,
+        # in four Fraction operations; the closed form builds one Fraction
+        def reference(prefix, period, base):
+            head = value_natural(prefix, base)
+            tail = Fraction(value_natural(period, base), base ** len(period) - 1)
+            return (head + tail) / Fraction(base) ** len(prefix)
+
+        rng = random.Random(23)
+        for _ in range(20000):
+            base = rng.randrange(2, 11)
+            prefix = [rng.randrange(base) for _ in range(rng.randrange(8))]
+            period = [rng.randrange(base) for _ in range(rng.randrange(1, 8))]
+            want = reference(prefix, period, base)
+            got = value_fractional(prefix, period, base)
+            assert got == want and str(got) == str(want), (prefix, period, base)
 
     def test_real_dim1(self):
         eight_thirds = w([(1,), (0,)], [(1,), (0,)], stars={2})
